@@ -1,24 +1,26 @@
-"""Truncated Fock space of the level-1 representation: the brute-force oracle.
+"""Truncated Fock space of the level-1 representation: graded mode blocks.
 
 Basis states are momentum vectors lam (root-lattice coordinates) dressed
-with one partition per node, ``prod_k a_i[-m_k] |lam>``.  Matrix elements
-are computed purely from commutators (PBW style): annihilators are pushed
-through creators with the bracket table, so no inner-product convention
-enters.  a_i[0] acts on |lam> with eigenvalue beta * (A lam)_i, hence
-P_i = a_i[0]/beta has the integer eigenvalue (A lam)_i and every E/F/H
-mode matrix carries integer mode indices within a sector.
+with one partition per node, ``prod_k a_i[-m_k] |lam>``, ordered by degree.
+Operators act on degree blocks of source columns and come from commutators
+alone, so no inner-product convention enters: a_i[-m] is an injective index
+map from degree d to d + m, and a_i[m] a gather through the neighbours'
+maps weighted by multiplicity times the bracket b(A_ij, m).  Exponentials
+are never formed as matrices; their homogeneous parts act on the columns
+through the Newton recursion k h_k = sum_m m kappa(m) a[m] h_{k-m}.
 
-Mode convention: X[n] is the coefficient of z^{-n} in X(z).  On sector
-lam the zero modes contribute the fixed power z^{off} with
-off = sum pvec . (A lam), so X[n] maps degree g to the single degree
-g - n - off.  Because each (mode, source degree) pair hits exactly one
-target degree, every block under the chosen cap is exact, with no
-truncation error.
+a_i[0] acts on |lam> with eigenvalue beta * (A lam)_i, so E/F/H modes carry
+integer indices within a sector.  X[n] is the coefficient of z^{-n} in X(z);
+the zero modes contribute z^{off}, off = sum pvec . (A lam), so X[n] maps
+degree g to the single degree g - n - off.  Complete-mode contract: with caps
+(src_cap, tgt_cap) a mode is returned iff its degree shift is at most
+tgt_cap - src_cap, and then with its exact block for every source degree up
+to src_cap; no returned mode is truncated.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +31,6 @@ from .currents import CurrentSpec, current_spec
 from .heisenberg import ModeBracketTable, osc_coeff
 
 State = tuple[tuple[int, ...], ...]  # one descending partition per node
-Key = tuple[State, int, int]  # (oscillators, z-power, w-power)
 Blocks = dict[int, tuple[int, np.ndarray]]  # src_deg -> (tgt_deg, matrix)
 
 
@@ -80,6 +81,19 @@ def _degree_starts(rank: int, cap: int) -> tuple[int, ...]:
     return tuple(starts)
 
 
+@lru_cache(maxsize=None)
+def _raise_map(rank: int, node: int, m: int, degree: int) -> np.ndarray:
+    """a_node[-m] as an index map: position at `degree` -> position at `degree + m`."""
+    index = _state_index(rank, degree + m)
+    return np.array(
+        [
+            index[s[:node] + (tuple(sorted(s[node] + (m,), reverse=True)),) + s[node + 1 :]]
+            for s in states_of_degree(rank, degree)
+        ],
+        dtype=np.intp,
+    )
+
+
 def enumerate_sector(lam, cap: int) -> list[FockBasisState]:
     """Ordered basis of a sector: by degree 0..cap, deterministic within."""
     lam = tuple(int(x) for x in lam)
@@ -127,6 +141,31 @@ def blocks_max_abs(b: Blocks) -> float:
     return max((float(np.max(np.abs(m))) for _, m in b.values()), default=0.0)
 
 
+def _accumulate(store: dict, key, col: int, x: np.ndarray) -> None:
+    """store[key] += x over source columns col..; values are (col, matrix, owned).
+
+    A first piece is stored as given, since its recursion may still read it,
+    and is copied into a fresh sum only when a second piece arrives.
+    """
+    if key not in store:
+        store[key] = (col, x, False)
+        return
+    c0, y, owned = store[key]
+    lo, hi = min(c0, col), max(c0 + y.shape[1], col + x.shape[1])
+    if not owned or (lo, hi) != (c0, c0 + y.shape[1]):
+        wider = np.zeros((y.shape[0], hi - lo), dtype=complex)
+        wider[:, c0 - lo : c0 - lo + y.shape[1]] = y
+        c0, y = lo, wider
+    y[:, col - c0 : col - c0 + x.shape[1]] += x
+    store[key] = (c0, y, True)
+
+
+# Commutator rows below SCALE_FLOOR times the largest scale in their sector
+# hold rounding noise only (on A1/A2, caps <= 3: noise near 1e-17 of the
+# maximum, all other rows above 1e-4), so they are divided by the floor.
+SCALE_FLOOR = 1e-6
+
+
 class ModeWindowError(ValueError):
     """Requested mode falls outside the exactly-computable window."""
 
@@ -152,85 +191,7 @@ class FockSpace:
         self.rank = cartan.rank
         self.table = ModeBracketTable(cartan, params)
         self._modes_cache: dict = {}
-
-    # -- elementary actions ----------------------------------------------------
-
-    def _annihilate(self, node: int, m: int, terms: dict[Key, complex]) -> dict[Key, complex]:
-        """One application of a_node[m] (m > 0), a derivation across nodes."""
-        out: dict[Key, complex] = {}
-        arow = self.cartan.entries[node]
-        for (state, zd, wd), coeff in terms.items():
-            for j in range(self.rank):
-                if arow[j] == 0:
-                    continue
-                mult = state[j].count(m)
-                if mult == 0:
-                    continue
-                b = self.table.value(int(arow[j]), m)
-                lst = list(state[j])
-                lst.remove(m)
-                key = (state[:j] + (tuple(lst),) + state[j + 1 :], zd, wd)
-                out[key] = out.get(key, 0.0 + 0.0j) + coeff * mult * b
-        return out
-
-    def _apply_annihilation_exp(
-        self, node: int, var: int, kappa, terms: dict[Key, complex]
-    ) -> dict[Key, complex]:
-        """exp(sum_{m>0} kappa(m) a_node[m] var^{-m}) applied to a term dict."""
-        max_m = 0
-        for state, _, _ in terms:
-            for part in state:
-                if part:
-                    max_m = max(max_m, part[0])
-        total = dict(terms)
-        for m in range(1, max_m + 1):
-            km = kappa(m)
-            level = total
-            accum = dict(total)
-            r = 1
-            while level:
-                raw = self._annihilate(node, m, level)
-                if not raw:
-                    break
-                level = {}
-                for (state, zd, wd), coeff in raw.items():
-                    key = (state, zd - m, wd) if var == 0 else (state, zd, wd - m)
-                    level[key] = level.get(key, 0.0 + 0.0j) + coeff * km / r
-                for key, c in level.items():
-                    accum[key] = accum.get(key, 0.0 + 0.0j) + c
-                r += 1
-            total = accum
-        return total
-
-    def _apply_creation_exp(
-        self, node: int, var: int, kappa, terms: dict[Key, complex], cap: int
-    ) -> dict[Key, complex]:
-        """exp(sum_{m>0} kappa(-m) a_node[-m] var^{+m}), truncated at degree cap."""
-        coeff_cache: dict[tuple[int, ...], complex] = {}
-
-        def addition_coeff(added: tuple[int, ...]) -> complex:
-            c = coeff_cache.get(added)
-            if c is None:
-                c = 1.0 + 0.0j
-                for m in set(added):
-                    r = added.count(m)
-                    c *= kappa(-m) ** r / math.factorial(r)
-                coeff_cache[added] = c
-            return c
-
-        out: dict[Key, complex] = {}
-        for (state, zd, wd), coeff in terms.items():
-            headroom = cap - sum(sum(p) for p in state)
-            for add_deg in range(max(headroom, -1) + 1):
-                for added in _partitions(add_deg, add_deg):
-                    c = coeff * addition_coeff(added)
-                    merged = tuple(sorted(state[node] + added, reverse=True))
-                    ns = state[:node] + (merged,) + state[node + 1 :]
-                    key = (ns, zd + add_deg, wd) if var == 0 else (ns, zd, wd + add_deg)
-                    out[key] = out.get(key, 0.0 + 0.0j) + c
-        return out
-
-    # -- full normal-ordered application ----------------------------------------
+        self._gathers: dict = {}  # (node, m, target degree) -> [(index map, weights)]
 
     def _merged_legs(self, specs_vars) -> list[tuple[int, int, object]]:
         """Oscillator legs merged per (node, var): coefficients of a_node[m] add."""
@@ -260,51 +221,96 @@ class FockSpace:
             offset += e
         return scalar, offset
 
-    def _apply(self, specs_vars, lam, src_cap: int, tgt_cap: int):
-        """Normal-ordered product of currents on sector lam.
+    def _lower_into(self, out: np.ndarray, coeff: complex, node: int, m: int, x, degree: int):
+        """out += coeff * a_node[m] x, for columns x at `degree` and m > 0."""
+        key = (node, m, degree - m)
+        if key not in self._gathers:
+            states = states_of_degree(self.rank, degree - m)
+            self._gathers[key] = [
+                (
+                    _raise_map(self.rank, j, m, degree - m),
+                    self.table.value(int(a), m) * np.array([[s[j].count(m) + 1.0] for s in states]),
+                )
+                for j, a in enumerate(self.cartan.entries[node])
+                if a
+            ]
+        for idx, w in self._gathers[key]:
+            out += (coeff * w) * x[idx]
 
-        Returns (target_sector, offsets, modes) with modes mapping
-        (n_z, n_w) -> Blocks.  Exact for every block whose target degree is
-        at most tgt_cap.
+    def _exp_parts(self, node: int, kappa, sign: int, degree: int, col0: int, x, first_col):
+        """(k, col, h_k): degree-k parts of exp(sum_{m>0} kappa(-sign m) a_node[-sign m]) x.
+
+        sign +1 takes the creators a[-m], sign -1 the annihilators a[m]; x
+        holds source columns col0.. at `degree` and h_k sits at degree + sign k.
+        Creation drops the columns before first_col(degree + k): no returned
+        block reads them.
+        """
+        parts = []
+        for k in itertools.count():
+            t = degree + sign * k
+            col = col0 if first_col is None else max(col0, first_col(t))
+            if t < 0 or col >= col0 + x.shape[1]:
+                return
+            h = x[:, col - col0 :]
+            if k:
+                h = np.zeros((len(states_of_degree(self.rank, t)), h.shape[1]), dtype=complex)
+                for m in range(1, k + 1):
+                    c_prev, prev = parts[k - m]
+                    coeff = m * kappa(-sign * m) / k
+                    if sign < 0:
+                        self._lower_into(h, coeff, node, m, prev[:, col - c_prev :], t + m)
+                    else:
+                        h[_raise_map(self.rank, node, m, t - m)] += coeff * prev[:, col - c_prev :]
+            parts.append((col, h))
+            yield k, col, h
+
+    def _apply(self, specs_vars, lam, src_cap: int, tgt_cap: int):
+        """Normal-ordered product of one or two currents (variables z, w) on sector lam.
+
+        Returns (target_sector, offsets, modes), modes mapping a tuple of mode
+        indices, one per variable, to the Blocks of a complete mode.  Terms
+        are keyed by (z-power, degree) over source columns; for a pair the
+        w-power is read off at the end as target - source degree - z-power.
         """
         lam = tuple(int(x) for x in lam)
-        legs = self._merged_legs(specs_vars)
+        n_vars = 1 + max(var for _, var in specs_vars)
         scalar = 1.0 + 0.0j
-        off = [0, 0]
+        off = [0] * n_vars
         tgt = np.asarray(lam, dtype=int)
         for spec, var in specs_vars:
             s, o = self._zero_mode(spec, lam)
             scalar *= s
             off[var] += o
-            charge = spec.p_charge()
-            if charge is None:
-                raise ValueError("non-lattice charge; Fock route unsupported")
-            tgt = tgt + charge
-        modes: dict[tuple[int, int], Blocks] = {}
-        for src_deg in range(src_cap + 1):
-            src_states = states_of_degree(self.rank, src_deg)
-            for col, s0 in enumerate(src_states):
-                terms: dict[Key, complex] = {((s0), 0, 0): scalar}
-                for node, var, kap in legs:
-                    terms = self._apply_annihilation_exp(node, var, kap, terms)
-                for node, var, kap in legs:
-                    terms = self._apply_creation_exp(node, var, kap, terms, tgt_cap)
-                for (state, zd, wd), coeff in terms.items():
-                    if coeff == 0.0:
-                        continue
-                    nz, nw = -(zd + off[0]), -(wd + off[1])
-                    tdeg = sum(sum(p) for p in state)
-                    block_map = modes.setdefault((nz, nw), {})
-                    if src_deg not in block_map:
-                        block_map[src_deg] = (
-                            tdeg,
-                            np.zeros(
-                                (len(states_of_degree(self.rank, tdeg)), len(src_states)),
-                                dtype=complex,
-                            ),
-                        )
-                    _, mat = block_map[src_deg]
-                    mat[_state_index(self.rank, tdeg)[state], col] += coeff
+            tgt = tgt + spec.p_charge()  # lattice-valued: _zero_mode refuses S+-
+        span = tgt_cap - src_cap
+        starts = _degree_starts(self.rank, src_cap)
+
+        def first_col(t: int) -> int:  # blocks reaching degree t start at source degree t - span
+            return starts[min(max(t - span, 0), src_cap + 1)]
+
+        # all source degrees at once, as the columns of one graded identity
+        terms = {
+            (0, d): (starts[d], scalar * np.eye(starts[d + 1] - starts[d]), False)
+            for d in range(src_cap + 1)
+        }
+        legs = self._merged_legs(specs_vars)
+        for sign in (-1, 1):  # annihilators act first, then creators
+            trim = first_col if sign > 0 else None
+            for node, var, kappa in legs:
+                out: dict = {}
+                for (zd, d), (col0, x, _) in terms.items():
+                    for k, col, h in self._exp_parts(node, kappa, sign, d, col0, x, trim):
+                        key = (zd + sign * k if var < n_vars - 1 else zd, d + sign * k)
+                        _accumulate(out, key, col, h)
+                terms = out
+        modes: dict[tuple[int, ...], Blocks] = {}
+        for (zd, t), (col, x, _) in terms.items():
+            for g in range(starts.index(col), src_cap + 1):
+                block = x[:, starts[g] - col : starts[g + 1] - col]
+                if block.size and block.any():
+                    powers = (zd, t - g - zd)[2 - n_vars :]  # (z, w) or (z,)
+                    key = tuple(-(e + o) for e, o in zip(powers, off))
+                    modes.setdefault(key, {})[g] = (t, block)
         return tuple(int(x) for x in tgt), tuple(off), modes
 
     def sector_modes(self, spec: CurrentSpec, lam, src_cap: int, tgt_cap: int):
@@ -312,11 +318,7 @@ class FockSpace:
         key = (spec.kind, spec.node, tuple(int(x) for x in lam), src_cap, tgt_cap)
         if key not in self._modes_cache:
             tgt, offs, modes = self._apply([(spec, 0)], lam, src_cap, tgt_cap)
-            self._modes_cache[key] = (
-                tgt,
-                offs[0],
-                {nz: blocks for (nz, _), blocks in modes.items()},
-            )
+            self._modes_cache[key] = (tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()})
         return self._modes_cache[key]
 
     def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src_cap: int, tgt_cap: int):
@@ -343,7 +345,7 @@ class FockSpace:
                 f"mode {n} outside the exact window [{lo}, {hi}] at cap {cap} "
                 f"(sector offset {offset})"
             )
-        tgt, _, modes = self.sector_modes(spec, lam, cap, cap + abs(n + offset))
+        tgt, _, modes = self.sector_modes(spec, lam, cap, cap + max(0, -n - offset))
         src_basis = enumerate_sector(lam, cap)
         tgt_basis = enumerate_sector(tgt, cap)
         starts = _degree_starts(self.rank, cap)
@@ -387,61 +389,56 @@ class FockSpace:
         a_ij = cartan[i, j]
         alpha_i = np.eye(self.rank, dtype=int)[i]
         alpha_j = np.eye(self.rank, dtype=int)[j]
-        rows = []
+        qh, pqh = params.q_half, params.pq_half
+
+        def complete(spec, sector, src_cap, reach):
+            """(tgt_cap, modes): X[n], n >= -reach, maps g <= src_cap to g - n - off."""
+            tgt_cap = max(src_cap + reach - self._zero_mode(spec, sector)[1], 0)
+            return tgt_cap, self.sector_modes(spec, sector, src_cap, tgt_cap)[2]
+
+        rows, vacuous = [], 0
         for lam in sectors:
             lam = tuple(int(x) for x in lam)
-            alam = cartan.pairing(lam)
-            off_e, off_f = int(alam[i]), -int(alam[j])
-            off_e_mid = int(cartan.pairing(np.asarray(lam) - alpha_j)[i])
-            off_f_mid = int(cartan.pairing(np.asarray(lam) + alpha_i)[j])
-            c_mid = cap + window + max(abs(off_e), abs(off_f))
-            capmax = max(
-                c_mid + window + max(abs(off_e_mid), abs(off_f_mid)),
-                cap + 2 * window + 2 + abs(off_e) + abs(off_f),
-            )
-            _, _, f_modes = self.sector_modes(spec_b, lam, cap, c_mid)
-            _, _, e_mid = self.sector_modes(
-                spec_a, tuple(np.asarray(lam) - alpha_j), c_mid, capmax
-            )
-            _, _, e_modes = self.sector_modes(spec_a, lam, cap, c_mid)
-            _, _, f_mid = self.sector_modes(
-                spec_b, tuple(np.asarray(lam) + alpha_i), c_mid, capmax
-            )
-            if i == j:
+            lam_e = tuple(int(x) for x in np.asarray(lam) - alpha_j)  # E acts after F
+            lam_f = tuple(int(x) for x in np.asarray(lam) + alpha_i)  # F acts after E
+            top_f, f_modes = complete(spec_b, lam, cap, window)
+            _, e_mid = complete(spec_a, lam_e, top_f, window)
+            top_e, e_modes = complete(spec_a, lam, cap, window)
+            _, f_mid = complete(spec_b, lam_f, top_e, window)
+            if i == j:  # H[m + n - 2] reaches mode -2W - 2
                 hp = current_spec("H+", i, self.rank, params)
                 hm = current_spec("H-", i, self.rank, params)
-                _, _, hp_modes = self.sector_modes(hp, lam, cap, capmax)
-                _, _, hm_modes = self.sector_modes(hm, lam, cap, capmax)
-            elif a_ij == -1:
-                _, _, b_modes = self.pair_modes(spec_a, spec_b, lam, cap, capmax)
-            qh, pqh = params.q_half, params.pq_half
+                _, hp_modes = complete(hp, lam, cap, 2 * window + 2)
+                _, hm_modes = complete(hm, lam, cap, 2 * window + 2)
+            elif a_ij == -1:  # B[m', n'] reaches m' + n' = 1 - 2W
+                offs = self._zero_mode(spec_a, lam)[1] + self._zero_mode(spec_b, lam)[1]
+                tgt_cap = max(cap + 2 * window - 1 - offs, 0)
+                _, _, b_modes = self.pair_modes(spec_a, spec_b, lam, cap, tgt_cap)
+            sector_rows = []
             for m in range(-window, window + 1):
                 for n in range(-window, window + 1):
                     ef = blocks_compose(e_mid.get(m, {}), f_modes.get(n, {}))
                     fe = blocks_compose(f_mid.get(n, {}), e_modes.get(m, {}))
-                    lhs = blocks_linear([(1.0, ef), (-1.0, fe)])
-                    scale = max(blocks_max_abs(ef), blocks_max_abs(fe))
                     if i == j:
                         w_p = qh ** (m - n) / (params.p - 1)
                         w_m = -((1 / pqh) ** (m - n)) / (params.p - 1)
-                        rhs = blocks_linear(
-                            [
-                                (w_p, hp_modes.get(m + n - 2, {})),
-                                (w_m, hm_modes.get(m + n - 2, {})),
-                            ]
-                        )
+                        h = m + n - 2
+                        parts = [(w_p, hp_modes.get(h, {})), (w_m, hm_modes.get(h, {}))]
                     elif a_ij == -1:
-                        rhs = blocks_linear(
-                            [
-                                (2 * pqh, b_modes.get((m + 1, n), {})),
-                                (-2 * qh, b_modes.get((m, n + 1), {})),
-                            ]
-                        )
+                        b1, b2 = b_modes.get((m + 1, n), {}), b_modes.get((m, n + 1), {})
+                        parts = [(2 * pqh, b1), (-2 * qh, b2)]
                     else:
-                        rhs = {}
-                    diff = blocks_linear([(1.0, lhs), (-1.0, rhs)])
-                    scale = max(scale, blocks_max_abs(rhs), 1e-300)
-                    rows.append(((lam, m, n), blocks_max_abs(diff) / scale, scale))
+                        parts = []
+                    rhs = blocks_linear(parts)
+                    diff = blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
+                    scale = max(blocks_max_abs(ef), blocks_max_abs(fe), blocks_max_abs(rhs))
+                    sector_rows.append(((lam, m, n), blocks_max_abs(diff), scale))
+            # rounding noise scales with the largest entries of the sector's
+            # check; a row whose own scale is below that floor compares nothing
+            floor = SCALE_FLOOR * max((s for *_, s in sector_rows), default=0.0)
+            for where, err, scale in sector_rows:
+                vacuous += scale <= floor
+                rows.append((where, err / max(scale, floor) if err else 0.0, scale))
         max_res = max((r for _, r, _ in rows), default=0.0)
         return CommutatorReport(
             node_i=i,
@@ -451,6 +448,7 @@ class FockSpace:
             window=window,
             residuals=rows,
             max_residual=max_res,
+            vacuous=vacuous,
         )
 
 
@@ -461,8 +459,9 @@ class CommutatorReport:
     cartan_entry: int
     cap: int
     window: int
-    residuals: list
+    residuals: list  # ((sector, m, n), residual, scale), one per row
     max_residual: float
+    vacuous: int  # rows at or below the noise floor, where nothing is compared
 
 
 @lru_cache(maxsize=None)

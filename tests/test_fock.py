@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from fock_reference import reference_apply
 
 from screenalg import (
     FockSpace,
@@ -139,14 +141,74 @@ class TestCommutator:
         assert rep.max_residual == 0.0
 
     def test_shifted_sector(self):
-        fs = FockSpace(A1, PR)
-        rep = fs.commutator_check(
-            current_spec("E", 0, 1, PR), current_spec("F", 0, 1, PR), [(1,)], 2, 2
-        )
-        assert rep.max_residual < 1e-8
+        cases = [(A1, (1,), 0, 0)] + [
+            (A2, lam, i, j) for lam in [(1, 0), (0, 1), (1, 1)] for i in range(2) for j in range(2)
+        ]
+        for cartan, lam, i, j in cases:
+            r = cartan.rank
+            rep = FockSpace(cartan, PR).commutator_check(
+                current_spec("E", i, r, PR), current_spec("F", j, r, PR), [lam], 2, 2
+            )
+            assert rep.max_residual < 1e-8, (lam, i, j, rep.max_residual)
+            assert len(rep.residuals) - rep.vacuous > 0, (lam, i, j)
+
+    def test_noise_and_empty_rows_are_vacuous(self):
+        e0, f1 = current_spec("E", 0, 2, PR), current_spec("F", 1, 2, PR)
+        # on (1, 1), rows (2, -2) and (2, -1) hold rounding noise only (scale
+        # ~1e-15 against a sector maximum of ~36); 6 more rows are empty
+        rep = FockSpace(A2, PR).commutator_check(e0, f1, [(1, 1)], 2, 2)
+        noise = {(m, n) for (_, m, n), _, s in rep.residuals if 0 < s < 1e-12}
+        assert noise == {(2, -2), (2, -1)}
+        assert rep.vacuous == 8 and rep.max_residual < 1e-8
+        # on (2, -1) both sides of every row reach only negative degrees
+        rep = FockSpace(A2, PR).commutator_check(e0, f1, [(2, -1)], 2, 2)
+        assert rep.vacuous == len(rep.residuals) == 25
+        assert rep.max_residual == 0.0
 
     def test_kind_pair_enforced(self):
         fs = FockSpace(A1, PR)
         e0 = current_spec("E", 0, 1, PR)
         with pytest.raises(ValueError, match=r"\(E, F\)"):
             fs.commutator_check(e0, e0, [(0,)], 2, 2)
+
+
+def _reference_modes(fs, specs_vars, lam, src_cap, tgt_cap):
+    _, _, modes = reference_apply(fs, specs_vars, lam, src_cap, tgt_cap)
+    if len(specs_vars) == 1:
+        return {nz: blocks for (nz, _), blocks in modes.items()}
+    return modes
+
+
+EQUIVALENCE_SECTORS = [(A1, (0,)), (A1, (1,)), (A2, (0, 0)), (A2, (1, 0)), (A2, (1, 1))]
+
+
+@pytest.mark.parametrize("current", ["E", "F", "H+", "H-", "EF"])
+@pytest.mark.parametrize(
+    "cartan,lam", EQUIVALENCE_SECTORS, ids=[f"A{c.rank}-{lam}" for c, lam in EQUIVALENCE_SECTORS]
+)
+def test_graded_engine_matches_reference(cartan, lam, current):
+    src_cap, tgt_cap = 2, 5
+    r = cartan.rank
+    fs = FockSpace(cartan, PR)
+    calls = []
+    for i in range(r):
+        if current == "EF":
+            for j in range(r):
+                e, f = current_spec("E", i, r, PR), current_spec("F", j, r, PR)
+                calls.append(([(e, 0), (f, 1)], fs.pair_modes(e, f, lam, src_cap, tgt_cap)))
+        else:
+            spec = current_spec(current, i, r, PR)
+            calls.append(([(spec, 0)], fs.sector_modes(spec, lam, src_cap, tgt_cap)))
+    for specs, (_, _, modes) in calls:
+        ref = _reference_modes(fs, specs, lam, src_cap, tgt_cap)
+        for key, blocks in modes.items():
+            for g, (t, block) in blocks.items():
+                # complete modes only: exact for every source degree up to src_cap
+                assert t - g <= tgt_cap - src_cap, (key, g, t)
+                ref_t, ref_block = ref[key][g]
+                assert ref_t == t
+                err = np.max(np.abs(block - ref_block))
+                assert err <= 1e-13 * np.max(np.abs(ref_block)), (key, g, err)
+        for key, blocks in ref.items():
+            if all(t - g <= tgt_cap - src_cap for g, (t, _) in blocks.items()):
+                assert set(modes.get(key, {})) == set(blocks), key

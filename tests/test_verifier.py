@@ -13,6 +13,8 @@ from screenalg import (
     serre_coefficient,
     theta,
 )
+from screenalg import verifier
+from screenalg.qlaurent import qpochhammer
 from screenalg.verifier import (
     SkipSample,
     _commutator_driver,
@@ -122,6 +124,12 @@ class TestCommutatorDriver:
         vals = sorted(abs(complex(s)) for s, _ in sup)
         assert vals == pytest.approx([abs(PR.p / PR.q), abs(1 / PR.q)])
 
+    def test_a2_default_counts_compared_and_vacuous_rows(self):
+        # 4 node pairs x 49 (m, n) rows at cap 3, window 3; in 22 of them
+        # both sides reach only negative degrees, so nothing is compared
+        rep = run_suite(ctx_for("A", 2), relation_filter=["Eq21", "Eq47"])
+        assert [(r.n_samples, r.skipped, r.passed) for r in rep.results] == [(174, 22, True)] * 2
+
     def test_two_route_agreement(self):
         ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
         out = _commutator_driver(ctx)
@@ -192,6 +200,22 @@ class TestRunSuite:
         r2 = run_suite(ctx2, relation_filter=["Eq1"], workers=4)
         assert [x.name for x in r1.results] == [x.name for x in r2.results]
         assert [x.max_residual for x in r1.results] == [x.max_residual for x in r2.results]
+
+
+class TestThetaDriver:
+    def test_triple_product_sum_separates_a_mutant(self, monkeypatch):
+        # quasi-periodicity cannot see a constant factor; the Jacobi
+        # triple-product sum can
+        ctx = ctx_for("A", 1)
+        out = verifier._theta_driver(ctx)
+        assert out["passed"] and out["max_residual"] < 1e-12
+
+        def theta_without_aa(x, a, order=80):
+            return theta(x, a, order) / qpochhammer(a, a, order)
+
+        monkeypatch.setattr(verifier, "theta", theta_without_aa)
+        out = verifier._theta_driver(ctx)
+        assert not out["passed"]
 
 
 class TestThetaSkipPath:
