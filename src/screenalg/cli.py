@@ -20,8 +20,6 @@ from fractions import Fraction
 from .algebra import make_cartan, make_params
 from .verifier import VerifierContext, run_suite
 
-WORKERS_ENV = "SCREENALG_WORKERS"
-
 
 @dataclass
 class RunConfig:
@@ -40,7 +38,6 @@ class RunConfig:
     tol_fock: float = 1e-8
     seed: int = 75018
     relations: str = ""
-    workers: int = 1
     out: str = ""
 
     def validate(self):
@@ -55,6 +52,8 @@ class RunConfig:
             raise ValueError("need at least one exchange sample")
         if not 0 < self.radius:
             raise ValueError("sample radius must be positive")
+        if not 0 < self.tol:
+            raise ValueError("series tolerance must be positive")
         return m.group(1).upper(), int(m.group(2))
 
 
@@ -66,7 +65,7 @@ def _coerce(name: str, raw: str):
         return complex(raw)
     if name == "c":
         return Fraction(raw)
-    if name in ("order", "fock_degree", "fock_window", "samples", "seed", "workers",
+    if name in ("order", "fock_degree", "fock_window", "samples", "seed",
                 "random_points", "serre_samples"):
         return int(raw)
     if name in ("radius", "tol", "tol_fock"):
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--relations",
         help="comma-separated substrings; run only matching relation names (e.g. Eq21)",
     )
-    ap.add_argument("--workers", type=int, help=f"worker threads (env {WORKERS_ENV})")
     ap.add_argument("--out", help="write the JSON report to this path (atomically)")
     ap.add_argument("--list-relations", action="store_true", help="list catalogue names and exit")
     ap.add_argument("--quiet", action="store_true", help="suppress the per-check table")
@@ -126,7 +124,7 @@ def config_from_args(args) -> RunConfig:
     if args.config:
         for key, val in read_config_file(args.config).items():
             setattr(cfg, key, val)
-    for name in ("algebra", "order", "samples", "radius", "tol", "seed", "relations", "workers", "out"):
+    for name in ("algebra", "order", "samples", "radius", "tol", "seed", "relations", "out"):
         v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, _coerce(name, v) if isinstance(v, str) else v)
@@ -142,8 +140,6 @@ def config_from_args(args) -> RunConfig:
         cfg.fock_window = args.fock_window
     if args.tol_fock is not None:
         cfg.tol_fock = args.tol_fock
-    if args.workers is None and WORKERS_ENV in os.environ:
-        cfg.workers = int(os.environ[WORKERS_ENV])
     return cfg
 
 
@@ -151,6 +147,7 @@ def context_from_config(cfg: RunConfig) -> VerifierContext:
     label, rank = cfg.validate()
     cartan = make_cartan(label, rank)
     params = make_params(cfg.p, cfg.q, cfg.c)
+    _check_theta_order(params, cfg.order, cfg.tol)
     return VerifierContext(
         cartan=cartan,
         params=params,
@@ -165,6 +162,28 @@ def context_from_config(cfg: RunConfig) -> VerifierContext:
         tol_fock=cfg.tol_fock,
         seed=cfg.seed,
     )
+
+
+def _check_theta_order(params, order: int, tol: float):
+    """Reject an order whose theta tail |base|^order is not far below tol.
+
+    theta truncates each q-product at ``order`` factors; its relative error
+    is a small multiple of |base|^order, so that must stay under 1e-3 * tol
+    for every theta base the checks use (q, p/q and qtilde).
+    """
+    base = max(abs(params.q), abs(params.pq), abs(params.qtilde))
+    bound = 1e-3 * tol
+    if base**order > bound:
+        import math
+
+        need = max(order, math.ceil(math.log(bound) / math.log(base)) - 1)
+        while base**need > bound:
+            need += 1
+        raise ValueError(
+            f"theta base {base:.6g} at series order {order} leaves a truncation "
+            f"tail {base**order:.2e} above 1e-3 * tol = {bound:.1e}; "
+            f"use --order {need} or more"
+        )
 
 
 def _write_atomic(path: str, text: str):
@@ -194,7 +213,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     filt = [s for s in (cfg.relations or "").split(",") if s.strip()]
-    report = run_suite(ctx, relation_filter=filt or None, workers=max(cfg.workers, 1))
+    report = run_suite(ctx, relation_filter=filt or None)
     if not args.quiet:
         width = max((len(r.name) for r in report.results), default=20)
         print(f"algebra {report.algebra}  p={report.p} q={report.q} c={report.c} "

@@ -281,10 +281,6 @@ class OpeResult:
         val, _ = self.kernel.evaluate(w / z)
         return self.monomial(z, w) * val
 
-    def evaluate_guarded(self, z: complex, w: complex) -> tuple[complex, float]:
-        val, closest = self.kernel.evaluate(w / z)
-        return self.monomial(z, w) * val, closest
-
     def laurent_in_x(self, first_var_is_z: bool = True) -> tuple[complex, LaurentSeries]:
         """Full coefficient of :XY: as (overall z power, Laurent series in x = w/z).
 
@@ -311,9 +307,14 @@ def contract(
     params: DeformationParams,
     order: int = 80,
 ) -> OpeResult:
-    """Wick contraction of X(z) Y(w) over all constituent pairs."""
+    """Wick contraction of X(z) Y(w) over all constituent pairs.
+
+    The constituent pairs' log series share one order, so they are summed
+    and exponentiated once (exp is multiplicative on such series).
+    """
     a_ij = cartan[spec_x.node, spec_y.node]
-    series = LaurentSeries.one(order)
+    ms = np.arange(1, order + 1)
+    log = np.zeros(order + 1, dtype=complex)
     kernel = ContractionKernel(())
     coeff = 1.0 + 0.0j
     z_exp = 0.0 + 0.0j
@@ -324,12 +325,7 @@ def contract(
             ay = current_spec(ky, spec_y.node, spec_y.rank, params)
             scale = sy / sx
             # oscillator part
-            cs = np.zeros(order + 1, dtype=complex)
-            for m in range(1, order + 1):
-                cs[m] = (
-                    contraction_log_coeff(kx, ky, a_ij, params, m) * scale**m
-                )
-            series = series * series_exp(LaurentSeries(0, cs, order))
+            log[1:] += contraction_log_coeff(kx, ky, a_ij, params, ms) * scale**ms
             kernel = kernel * _atomic_kernel(kx, ky, a_ij, params).scale(scale)
             # zero-mode part: X-constituent factors past Y-constituent charge
             wx = _shifted_word(ax, "z", sx, params)
@@ -339,6 +335,7 @@ def contract(
             coeff *= mcoeff
             z_exp += zp.get("z", 0.0)
             w_exp += zp.get("w", 0.0)
+    series = series_exp(LaurentSeries(0, log, order))
     return OpeResult(spec_x, spec_y, coeff, z_exp, w_exp, series, kernel)
 
 

@@ -61,9 +61,12 @@ class ModeBracketTable:
         return self.value(self.cartan[i, j], n)
 
 
-def osc_coeff(kind: str, params: DeformationParams, m: int) -> complex:
-    """Scalar multiplying a_i[m] in the exponent of the given current kind."""
-    if m == 0:
+def osc_coeff(kind: str, params: DeformationParams, m):
+    """Scalar multiplying a_i[m] in the exponent of the given current kind.
+
+    ``m`` is an integer or an integer array (elementwise result).
+    """
+    if np.any(np.asarray(m) == 0):
         raise ValueError("zero modes are handled by ZeroModeWord, not osc_coeff")
     if kind in RAISING_KINDS:
         return 1.0 / (params.q ** (-m) - 1.0)
@@ -77,26 +80,25 @@ def contraction_log_coeff(
     kind_y: str,
     a_ij: int,
     params: DeformationParams,
-    m: int,
-    table: ModeBracketTable | None = None,
-) -> complex:
+    m,
+):
     """m-th log coefficient c_m of the contraction of X(z) Y(w).
 
     c_m multiplies (w/z)^m in log of the scalar prefactor; it is the
     oscillator coefficient of X at +m times that of Y at -m times b(m).
+    ``m`` is an integer or an integer array (elementwise result).
     """
-    if m < 1:
+    if np.any(np.asarray(m) < 1):
         raise ValueError("contraction log coefficients are indexed by m >= 1")
-    if table is not None:
-        b = table.value(a_ij, m)
-    else:
-        p, q, ph = params.p, params.q, params.p_half
-        b = (
-            (1 - q**m)
-            * (ph ** (a_ij * m) - ph ** (-a_ij * m))
-            * (1 - (p / q) ** m)
-            / (m * (1 - p**m))
-        )
+    # p^{A m/2} as (p^{A/2})^m keeps every exponent <= m: below 100, numpy
+    # raises complex arrays by repeated squaring, as Python does scalars
+    p, q, pa = params.p, params.q, params.p_half**a_ij
+    b = (
+        (1 - q**m)
+        * (pa**m - pa ** (-m))
+        * (1 - (p / q) ** m)
+        / (m * (1 - p**m))
+    )
     return osc_coeff(kind_x, params, m) * osc_coeff(kind_y, params, -m) * b
 
 

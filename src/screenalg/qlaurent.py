@@ -197,9 +197,9 @@ def series_exp(logseries: LaurentSeries) -> LaurentSeries:
         raise ValueError("series_exp requires zero constant term")
     n = logseries.order
     c = np.zeros(n + 1, dtype=complex)
-    lo = max(s.min_exp, 1)
-    for k in range(lo, min(s.max_stored, n) + 1):
-        c[k] = s.coeff(k)
+    lo, hi = max(s.min_exp, 1), min(s.max_stored, n)
+    if hi >= lo:
+        c[lo : hi + 1] = s.coeffs[lo - s.min_exp : hi - s.min_exp + 1]
     # E' = c' E  =>  n E_n = sum_k k c_k E_{n-k}
     e = np.zeros(n + 1, dtype=complex)
     e[0] = 1.0

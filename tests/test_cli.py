@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from screenalg.cli import WORKERS_ENV, main, read_config_file
+from screenalg.cli import RunConfig, context_from_config, main, read_config_file
 
 
 def run_cli(args):
@@ -29,6 +29,10 @@ class TestExitCodes:
         rc = run_cli(["--algebra", "Z9"])
         assert rc == 2
         assert "algebra" in capsys.readouterr().err
+
+    def test_nonpositive_tol_rejected(self, capsys):
+        assert run_cli(["--tol", "0", "--quiet"]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_filter_miss_is_an_error(self, capsys):
         rc = run_cli(["--algebra", "A1", "--relations", "NoSuchRelation", "--quiet"])
@@ -129,21 +133,33 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("banana = 1\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            read_config_file(str(cfg))
+        # the thread pool is gone, so its key is unknown too
+        for line in ("banana = 1\n", "workers = 2\n"):
+            cfg.write_text(line)
+            with pytest.raises(ValueError, match="unknown key"):
+                read_config_file(str(cfg))
 
 
-class TestWorkersEnv:
-    def test_env_var_sets_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        out = tmp_path / "r.json"
-        rc = run_cli(
-            ["--algebra", "A1", "--relations", "Eq19,Eq20,theta", "--quiet",
-             "--out", str(out)] + FAST
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["all_pass"] is True
+class TestThetaOrder:
+    def test_unresolvable_base_rejected_with_needed_order(self, capsys):
+        # at q = 0.9 theta(order=80) is off by ~5e-3, which read as a false
+        # Eq19/Eq24 FAIL before this check existed
+        rc = run_cli(["--algebra", "A1", "--p", "0.5", "--q", "0.9",
+                      "--relations", "Eq19,Eq24", "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "theta base 0.9" in err and "order 80" in err
+        assert "--order 241 " in err
+
+    def test_suggested_order_accepted(self):
+        ctx = context_from_config(RunConfig(algebra="A1", p=0.5, q=0.9, order=241))
+        assert ctx.order == 241
+        with pytest.raises(ValueError, match="--order 241 "):
+            context_from_config(RunConfig(algebra="A1", p=0.5, q=0.9, order=240))
+
+    def test_wide_e6_parameters_still_accepted(self):
+        ctx = context_from_config(RunConfig(algebra="E6", p=0.3, q=0.7))
+        assert ctx.order == 80 and ctx.cartan.rank == 6
 
 
 class TestAtomicWrite:

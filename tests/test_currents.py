@@ -12,6 +12,7 @@ from screenalg import (
     zero_mode_reorder,
 )
 from screenalg.currents import _shifted_word
+from screenalg.qlaurent import LaurentSeries, series_exp
 
 PR = make_params(0.09, 0.3, 1)
 A2 = make_cartan("A", 2)
@@ -78,6 +79,41 @@ class TestContract:
                     assert got == pytest.approx(
                         contraction_log_coeff(kx, ky, a, PR, m), rel=1e-12, abs=1e-15
                     )
+
+
+def per_pair_series(spec_x, spec_y, cartan, order):
+    """The contraction series as one exp per constituent pair, mode by mode.
+
+    Also returns the majorant exp(sum_m |c_m| x^m) over all pairs' log
+    coefficients, which bounds how far rounding can move each coefficient.
+    """
+    a_ij = cartan[spec_x.node, spec_y.node]
+    series = LaurentSeries.one(order)
+    majorant = np.zeros(order + 1, dtype=complex)
+    for kx, sx in spec_x.constituents:
+        for ky, sy in spec_y.constituents:
+            cs = np.zeros(order + 1, dtype=complex)
+            for m in range(1, order + 1):
+                cs[m] = contraction_log_coeff(kx, ky, a_ij, PR, m) * (sy / sx) ** m
+            series = series * series_exp(LaurentSeries(0, cs, order))
+            majorant += np.abs(cs)
+    return series, series_exp(LaurentSeries(0, majorant, order))
+
+
+class TestSeriesConstruction:
+    @pytest.mark.parametrize("nodes", [(0, 0), (0, 1), (0, 2)])
+    def test_one_exp_matches_product_of_per_pair_exps(self, nodes):
+        # composite H pairs cancel large terms between constituent pairs, so
+        # coefficients are compared on the scale of the majorant series
+        kinds = ("S+", "S-", "E", "F", "H+", "H-")
+        for kx in kinds:
+            for ky in kinds:
+                sx = current_spec(kx, nodes[0], 3, PR)
+                sy = current_spec(ky, nodes[1], 3, PR)
+                got = contract(sx, sy, A3, PR, 80).series.window(0, 80)
+                want, majorant = per_pair_series(sx, sy, A3, 80)
+                scale = np.abs(majorant.window(0, 80))
+                assert np.all(np.abs(got - want.window(0, 80)) <= 1e-13 * scale), (kx, ky)
 
 
 class TestClosedFormTable:

@@ -106,6 +106,18 @@ class TestContractionLogCoeff:
     def test_requires_positive_m(self):
         with pytest.raises(ValueError):
             contraction_log_coeff("E", "F", 2, PR, 0)
+        with pytest.raises(ValueError):
+            contraction_log_coeff("E", "F", 2, PR, np.arange(0, 3))
+
+    @pytest.mark.parametrize("a_ij", [2, -1, 0])
+    def test_array_of_modes_matches_scalar_loop(self, a_ij):
+        ms = np.arange(1, 81)
+        for kx in ("S+", "S-", "E", "F"):
+            for ky in ("S+", "S-", "E", "F"):
+                got = contraction_log_coeff(kx, ky, a_ij, PR, ms)
+                want = np.array([contraction_log_coeff(kx, ky, a_ij, PR, int(m)) for m in ms])
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (kx, ky)
 
 
 def p_word(rank, i, var="z", const=1.0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from screenalg import (
     theta,
 )
 from screenalg import verifier
+from screenalg.currents import ContractionKernel, KernelGroup
 from screenalg.qlaurent import qpochhammer
 from screenalg.verifier import (
     SkipSample,
+    _closed_form_driver,
     _commutator_driver,
     _exchange_driver,
     _serre_driver,
@@ -193,14 +197,6 @@ class TestRunSuite:
         assert d["all_pass"] is True
         assert len(d["errata"]) == 5
 
-    def test_workers_give_same_results(self):
-        ctx1 = ctx_for("A", 1, order=40, fock_cap=2, fock_window=2)
-        ctx2 = ctx_for("A", 1, order=40, fock_cap=2, fock_window=2)
-        r1 = run_suite(ctx1, relation_filter=["Eq1"], workers=1)
-        r2 = run_suite(ctx2, relation_filter=["Eq1"], workers=4)
-        assert [x.name for x in r1.results] == [x.name for x in r2.results]
-        assert [x.max_residual for x in r1.results] == [x.max_residual for x in r2.results]
-
 
 class TestThetaDriver:
     def test_triple_product_sum_separates_a_mutant(self, monkeypatch):
@@ -234,3 +230,52 @@ class TestThetaSkipPath:
         out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
         assert out["skipped"] == out["n_samples"] > 0
         assert not out["passed"]
+
+    def test_closed_form_samples_near_poles_are_skipped_and_reported(self):
+        # the closed-form driver follows the same rule: all 16 samples
+        # skipped is not a pass
+        ctx = ctx_for("A", 1, order=40, pole_floor=1e6)
+        out = _closed_form_driver(ctx, "E", "F", 2)
+        assert out["skipped"] == out["n_samples"] == 16
+        assert not out["passed"]
+
+    def test_cached_theta_still_hits_the_floor(self):
+        ctx = ctx_for("A", 1, order=80)
+        for _ in range(2):
+            with pytest.raises(SkipSample):
+                ctx.theta_g(PR.p * 1.0, PR.q)
+        assert len(ctx._theta_cache) == 1
+
+
+class TestSeriesCaches:
+    def test_each_distinct_kernel_value_is_evaluated_once(self, monkeypatch):
+        # D4 has 16 ordered node pairs in three Cartan classes; each class
+        # shares one E-E kernel, evaluated at the 16 samples x and at 1/x
+        seen = []
+        evaluate = ContractionKernel.evaluate
+
+        def counted(kernel, x, *args):
+            seen.append((kernel, x))
+            return evaluate(kernel, x, *args)
+
+        monkeypatch.setattr(ContractionKernel, "evaluate", counted)
+        ctx = ctx_for("D", 4)
+        out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
+        assert out["passed"] and out["n_samples"] == 16 * 16
+        assert len(seen) == len(set(seen)) == 3 * 2 * 16
+        assert len(seen) < 16 * 16 * 2
+
+    def test_a_defect_in_one_node_pair_is_not_hidden(self):
+        # a kernel off by 1e-6 on one node pair, not the first of its
+        # class, is its own cache key and fails the check
+        ctx = ctx_for("D", 4)
+        pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
+        i, j = pairs[1]
+        ope = ctx.contract(ctx.spec("E", i), ctx.spec("E", j))
+        bad = ContractionKernel(tuple(
+            KernelGroup(tuple((sg, mu * (1 + 1e-6)) for sg, mu in g.terms), g.dens)
+            for g in ope.kernel.groups
+        ))
+        ctx._contract_cache[("E", i, "E", j)] = dataclasses.replace(ope, kernel=bad)
+        out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
+        assert not out["passed"] and out["max_residual"] > 1e-8
