@@ -147,7 +147,6 @@ def context_from_config(cfg: RunConfig) -> VerifierContext:
     label, rank = cfg.validate()
     cartan = make_cartan(label, rank)
     params = make_params(cfg.p, cfg.q, cfg.c)
-    _check_theta_order(params, cfg.order, cfg.tol)
     return VerifierContext(
         cartan=cartan,
         params=params,
@@ -162,28 +161,6 @@ def context_from_config(cfg: RunConfig) -> VerifierContext:
         tol_fock=cfg.tol_fock,
         seed=cfg.seed,
     )
-
-
-def _check_theta_order(params, order: int, tol: float):
-    """Reject an order whose theta tail |base|^order is not far below tol.
-
-    theta truncates each q-product at ``order`` factors; its relative error
-    is a small multiple of |base|^order, so that must stay under 1e-3 * tol
-    for every theta base the checks use (q, p/q and qtilde).
-    """
-    base = max(abs(params.q), abs(params.pq), abs(params.qtilde))
-    bound = 1e-3 * tol
-    if base**order > bound:
-        import math
-
-        need = max(order, math.ceil(math.log(bound) / math.log(base)) - 1)
-        while base**need > bound:
-            need += 1
-        raise ValueError(
-            f"theta base {base:.6g} at series order {order} leaves a truncation "
-            f"tail {base**order:.2e} above 1e-3 * tol = {bound:.1e}; "
-            f"use --order {need} or more"
-        )
 
 
 def _write_atomic(path: str, text: str):

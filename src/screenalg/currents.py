@@ -24,7 +24,7 @@ the pairwise zero-mode monomials multiply to the exact composite monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,6 +158,14 @@ class KernelGroup:
 @dataclass(frozen=True)
 class ContractionKernel:
     groups: tuple[KernelGroup, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.groups)
+
+    def __hash__(self) -> int:
+        # kernels key the verifier's value cache: hash the nested terms once
+        return self._hash
 
     def scale(self, s: complex) -> "ContractionKernel":
         """Argument substitution x -> s x (mu_j -> s mu_j)."""
@@ -309,34 +317,58 @@ def contract(
 ) -> OpeResult:
     """Wick contraction of X(z) Y(w) over all constituent pairs.
 
-    The constituent pairs' log series share one order, so they are summed
-    and exponentiated once (exp is multiplicative on such series).
+    The oscillator part reads the node pair only through A_ij, so it comes
+    from :func:`_oscillator_part`, shared by value; the zero-mode monomial
+    reads the node indices and is reordered here for every node pair.
     """
     a_ij = cartan[spec_x.node, spec_y.node]
-    ms = np.arange(1, order + 1)
-    log = np.zeros(order + 1, dtype=complex)
-    kernel = ContractionKernel(())
+    series, kernel = _oscillator_part(
+        spec_x.constituents, spec_y.constituents, a_ij, params, order
+    )
     coeff = 1.0 + 0.0j
     z_exp = 0.0 + 0.0j
     w_exp = 0.0 + 0.0j
     for kx, sx in spec_x.constituents:
         ax = current_spec(kx, spec_x.node, spec_x.rank, params)
+        wx = _shifted_word(ax, "z", sx, params)
         for ky, sy in spec_y.constituents:
             ay = current_spec(ky, spec_y.node, spec_y.rank, params)
-            scale = sy / sx
-            # oscillator part
-            log[1:] += contraction_log_coeff(kx, ky, a_ij, params, ms) * scale**ms
-            kernel = kernel * _atomic_kernel(kx, ky, a_ij, params).scale(scale)
-            # zero-mode part: X-constituent factors past Y-constituent charge
-            wx = _shifted_word(ax, "z", sx, params)
+            # X-constituent factors past the Y-constituent charge
             wy = _shifted_word(ay, "w", sy, params)
             red = zero_mode_reorder(wx, wy, cartan, params)
             mcoeff, zp = red.monomial()
             coeff *= mcoeff
             z_exp += zp.get("z", 0.0)
             w_exp += zp.get("w", 0.0)
-    series = series_exp(LaurentSeries(0, log, order))
     return OpeResult(spec_x, spec_y, coeff, z_exp, w_exp, series, kernel)
+
+
+@lru_cache(maxsize=256)
+def _oscillator_part(
+    cons_x: tuple[tuple[str, complex], ...],
+    cons_y: tuple[tuple[str, complex], ...],
+    a_ij: int,
+    params: DeformationParams,
+    order: int,
+) -> tuple[LaurentSeries, ContractionKernel]:
+    """Node-free oscillator part of a contraction: (series, q-product kernel).
+
+    The constituent pairs' log series share one order, so they are summed
+    and exponentiated once (exp is multiplicative on such series).  The
+    result is shared by every node pair with the same A_ij; its coefficient
+    array is read-only, so an in-place edit raises instead of reaching them.
+    """
+    ms = np.arange(1, order + 1)
+    log = np.zeros(order + 1, dtype=complex)
+    kernel = ContractionKernel(())
+    for kx, sx in cons_x:
+        for ky, sy in cons_y:
+            scale = sy / sx
+            log[1:] += contraction_log_coeff(kx, ky, a_ij, params, ms) * scale**ms
+            kernel = kernel * _atomic_kernel(kx, ky, a_ij, params).scale(scale)
+    series = series_exp(LaurentSeries(0, log, order))
+    series.coeffs.flags.writeable = False
+    return series, kernel
 
 
 def _shifted_word(

@@ -16,24 +16,34 @@ difference between the inner and outer expansion of a rational function;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 
+@lru_cache(maxsize=256)
+def _powers(a: complex, order: int) -> np.ndarray:
+    """1, a, a^2, ..., a^(order-1), read-only; shared by every product in base a."""
+    out = np.full(order, a, dtype=complex)
+    out[0] = 1.0
+    out = np.cumprod(out)
+    out.flags.writeable = False
+    return out
+
+
 def qpochhammer(x: complex, a: complex, order: int) -> complex:
     """Truncated q-Pochhammer product prod_{n=0}^{order-1} (1 - x a^n).
 
-    Truncation error against the infinite product is O(|x| |a|^order).
+    Truncation error against the infinite product is O(|x| |a|^order).  The
+    powers of a are cached per (a, order), and one ``np.multiply.reduce``
+    takes the product of the factors.
     """
     if abs(a) >= 1:
         raise ValueError(f"|a| = {abs(a):.6g} violates |a| < 1")
-    out = 1.0 + 0.0j
-    an = 1.0 + 0.0j
-    for _ in range(order):
-        out *= 1 - x * an
-        an *= a
-    return out
+    if order <= 0:
+        return 1.0 + 0.0j
+    return complex(np.multiply.reduce(1.0 - x * _powers(a, order)))
 
 
 def theta(x: complex, a: complex, order: int = 80) -> complex:

@@ -24,6 +24,8 @@ psi factorization holds in the form phi(x)/phi(1/x) = x^{A_ij} psi(x).
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +57,26 @@ class SkipSample(Exception):
     """Sample too close to a zero/pole; skipped and reported."""
 
 
+def _check_theta_order(params: DeformationParams, order: int, tol: float):
+    """Reject an order whose theta tail |base|^order is not far below tol.
+
+    theta truncates each q-product at ``order`` factors; its relative error
+    is a small multiple of |base|^order, so that must stay under 1e-3 * tol
+    for every theta base the checks use (q, p/q and qtilde).
+    """
+    base = max(abs(params.q), abs(params.pq), abs(params.qtilde))
+    bound = 1e-3 * tol
+    if base**order > bound:
+        need = max(order, math.ceil(math.log(bound) / math.log(base)) - 1)
+        while base**need > bound:
+            need += 1
+        raise ValueError(
+            f"theta base {base:.6g} at series order {order} leaves a truncation "
+            f"tail {base**order:.2e} above 1e-3 * tol = {bound:.1e}; "
+            f"use --order {need} or more"
+        )
+
+
 @dataclass
 class VerifierContext:
     """Shared configuration and caches for one verification run.
@@ -67,6 +89,9 @@ class VerifierContext:
     (kernel, w/z).  Equal kernels from different node pairs share an entry; a
     kernel that differs for one node pair is evaluated on its own.  The
     checks still count every node pair x sample they compare.
+
+    Building a context rejects an ``order`` whose theta truncation tail is
+    not far below ``tol_series`` (see :func:`_check_theta_order`).
     """
 
     cartan: CartanMatrix
@@ -88,6 +113,10 @@ class VerifierContext:
     _kernel_cache: dict = field(default_factory=dict)
     _fock: FockSpace | None = None
     _commutator_cache: dict = field(default_factory=dict)
+    _circle: np.ndarray | None = None
+
+    def __post_init__(self):
+        _check_theta_order(self.params, self.order, self.tol_series)
 
     @property
     def fock(self) -> FockSpace:
@@ -131,8 +160,11 @@ class VerifierContext:
         return vxy / vyx
 
     def circle_samples(self) -> np.ndarray:
-        ph = (np.arange(self.n_samples) + 0.5) / self.n_samples * 2 * np.pi - np.pi
-        return self.radius * np.exp(1j * ph)
+        if self._circle is None:
+            ph = (np.arange(self.n_samples) + 0.5) / self.n_samples * 2 * np.pi - np.pi
+            self._circle = self.radius * np.exp(1j * ph)
+            self._circle.flags.writeable = False
+        return self._circle
 
     def node_pairs_by_class(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
@@ -233,8 +265,6 @@ def _half_power(base: complex, half_exponent) -> complex:
     """base^(half_exponent/2); integer half-exponents stay branch-coherent."""
     f = float(half_exponent)
     if f.is_integer():
-        import cmath
-
         return cmath.sqrt(base) ** int(f)
     return base ** (f / 2.0)
 
@@ -395,10 +425,9 @@ def _closed_form_driver(ctx, kind_x, kind_y, a_class, tol=None):
     tol = ctx.tol_series if tol is None else tol
     residuals, skipped, total = [], 0, 0
     pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == a_class]
+    cf = closed_form(kind_x, kind_y, a_class, ctx.params)
     for i, j in pairs:
-        sx, sy = ctx.spec(kind_x, i), ctx.spec(kind_y, j)
-        cf = closed_form(kind_x, kind_y, a_class, ctx.params)
-        ope = ctx.contract(sx, sy)
+        ope = ctx.contract(ctx.spec(kind_x, i), ctx.spec(kind_y, j))
         for x in ctx.circle_samples():
             total += 1
             v, closest = ctx.kernel_value(ope, 1.0, complex(x))
@@ -724,7 +753,9 @@ def _sl2_generic_driver(ctx, which: str, tol=1e-9):
     base = ctx.params
     for c in (Fraction(2), Fraction(3)):
         pc = make_params(base.p, base.q, c)
-        cctx = VerifierContext(cartan=make_cartan("A", 1), params=pc, order=ctx.order)
+        cctx = VerifierContext(
+            cartan=make_cartan("A", 1), params=pc, order=ctx.order, tol_series=ctx.tol_series
+        )
         for x in xs:
             total += 1
             try:
@@ -738,7 +769,9 @@ def _sl2_generic_driver(ctx, which: str, tol=1e-9):
                 continue
     # c = 1 specialization against the general-g functions at A_ij = 2
     p1 = make_params(base.p, base.q, Fraction(1))
-    c1 = VerifierContext(cartan=make_cartan("A", 1), params=p1, order=ctx.order)
+    c1 = VerifierContext(
+        cartan=make_cartan("A", 1), params=p1, order=ctx.order, tol_series=ctx.tol_series
+    )
     for x in xs:
         total += 1
         try:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from screenalg import (
     make_params,
     zero_mode_reorder,
 )
-from screenalg.currents import _shifted_word
+from screenalg.currents import (
+    ContractionKernel,
+    KernelGroup,
+    _atomic_kernel,
+    _shifted_word,
+)
 from screenalg.qlaurent import LaurentSeries, series_exp
 
 PR = make_params(0.09, 0.3, 1)
@@ -114,6 +121,68 @@ class TestSeriesConstruction:
                 want, majorant = per_pair_series(sx, sy, A3, 80)
                 scale = np.abs(majorant.window(0, 80))
                 assert np.all(np.abs(got - want.window(0, 80)) <= 1e-13 * scale), (kx, ky)
+
+
+def contract_one_loop(spec_x, spec_y, cartan, order):
+    """Reference: oscillator and zero-mode parts in one loop per node pair."""
+    a_ij = cartan[spec_x.node, spec_y.node]
+    ms = np.arange(1, order + 1)
+    log = np.zeros(order + 1, dtype=complex)
+    kernel = ContractionKernel(())
+    coeff, z_exp, w_exp = 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j
+    for kx, sx in spec_x.constituents:
+        ax = current_spec(kx, spec_x.node, spec_x.rank, PR)
+        for ky, sy in spec_y.constituents:
+            ay = current_spec(ky, spec_y.node, spec_y.rank, PR)
+            scale = sy / sx
+            log[1:] += contraction_log_coeff(kx, ky, a_ij, PR, ms) * scale**ms
+            kernel = kernel * _atomic_kernel(kx, ky, a_ij, PR).scale(scale)
+            wx = _shifted_word(ax, "z", sx, PR)
+            wy = _shifted_word(ay, "w", sy, PR)
+            mcoeff, zp = zero_mode_reorder(wx, wy, cartan, PR).monomial()
+            coeff *= mcoeff
+            z_exp += zp.get("z", 0.0)
+            w_exp += zp.get("w", 0.0)
+    series = series_exp(LaurentSeries(0, log, order))
+    return coeff, z_exp, w_exp, series, kernel
+
+
+class TestSharedOscillatorPart:
+    @pytest.mark.parametrize("nodes", [(0, 0), (0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_matches_the_one_loop_contraction(self, nodes):
+        kinds = ("S+", "S-", "E", "F", "H+", "H-")
+        for kx in kinds:
+            for ky in kinds:
+                sx = current_spec(kx, nodes[0], 3, PR)
+                sy = current_spec(ky, nodes[1], 3, PR)
+                ope = contract(sx, sy, A3, PR, 40)
+                coeff, z_exp, w_exp, series, kernel = contract_one_loop(sx, sy, A3, 40)
+                assert (ope.coeff, ope.z_exp, ope.w_exp) == (coeff, z_exp, w_exp)
+                assert np.array_equal(ope.series.coeffs, series.coeffs), (kx, ky)
+                assert ope.series.order == series.order and ope.kernel == kernel
+
+    def test_node_pairs_of_one_class_share_a_read_only_series(self):
+        e = [current_spec("E", i, 3, PR) for i in range(3)]
+        ope01, ope12 = contract(e[0], e[1], A3, PR, 40), contract(e[1], e[2], A3, PR, 40)
+        assert ope01.series is ope12.series and ope01.kernel is ope12.kernel
+        with pytest.raises(ValueError):
+            ope01.series.coeffs[1] = 0.0
+
+
+class TestKernelHash:
+    def test_equal_kernels_hash_equal_and_a_mutant_does_not(self):
+        hp0, hp1 = current_spec("H+", 0, 3, PR), current_spec("H+", 1, 3, PR)
+        kernel = contract(hp0, hp1, A3, PR, 40).kernel
+        # another order is another cache entry, so this kernel is built anew
+        rebuilt = contract(hp0, hp1, A3, PR, 41).kernel
+        assert rebuilt is not kernel
+        assert rebuilt == kernel and hash(rebuilt) == hash(kernel) == hash(kernel.groups)
+        assert {kernel: 1}[rebuilt] == 1
+        g = kernel.groups[-1]
+        bad_group = KernelGroup(((-g.terms[0][0], g.terms[0][1]),) + g.terms[1:], g.dens)
+        mutant = dataclasses.replace(kernel, groups=kernel.groups[:-1] + (bad_group,))
+        assert mutant != kernel and hash(mutant) == hash(mutant.groups) != hash(kernel)
+        assert kernel not in {mutant: 1}
 
 
 class TestClosedFormTable:

@@ -27,6 +27,37 @@ class TestQPochhammer:
         with pytest.raises(ValueError):
             qpochhammer(0.5, 1.1, 10)
 
+    @pytest.mark.parametrize("order", [0, 1, 10, 80, 241])
+    def test_matches_the_scalar_loop(self, order):
+        # numpy's complex multiply can round x a^n an ulp away from Python's;
+        # from there the two products round independently, so their distance
+        # grows like sqrt(order) eps
+        tol = 4 * np.sqrt(max(order, 1)) * np.finfo(float).eps
+        for r in (0.0, 0.3, 0.7, 0.95):
+            for ph in np.linspace(-3.0, 3.0, 7):
+                a = r * np.exp(1j * ph)
+                for x in (0.5 * np.exp(-2.3j), 1.3 * np.exp(0.4j), 0.8, -0.6j):
+                    want = qpochhammer_loop(x, a, order)
+                    assert abs(qpochhammer(x, a, order) - want) <= tol * abs(want)
+
+    def test_matches_mpmath_at_order_241(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for ph in (0.0, 0.7, -2.5):
+                a = 0.9 * np.exp(1j * ph)
+                for x in (0.5, 0.3 + 0.4j, -0.7j):
+                    want = complex(mpmath.qp(mpmath.mpc(x), mpmath.mpc(a), 241))
+                    assert abs(qpochhammer(x, a, 241) - want) <= 1e-14 * abs(want)
+
+
+def qpochhammer_loop(x, a, order):
+    """Reference: one factor at a time, powers of a by repeated multiplication."""
+    out, an = 1.0 + 0.0j, 1.0 + 0.0j
+    for _ in range(order):
+        out *= 1 - x * an
+        an *= a
+    return out
+
 
 class TestTheta:
     def test_quasi_periodicity_reference_point(self):

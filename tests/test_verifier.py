@@ -15,8 +15,8 @@ from screenalg import (
     serre_coefficient,
     theta,
 )
-from screenalg import verifier
-from screenalg.currents import ContractionKernel, KernelGroup
+from screenalg import currents, verifier
+from screenalg.currents import ContractionKernel, KernelGroup, _oscillator_part
 from screenalg.qlaurent import qpochhammer
 from screenalg.verifier import (
     SkipSample,
@@ -279,3 +279,52 @@ class TestSeriesCaches:
         ctx._contract_cache[("E", i, "E", j)] = dataclasses.replace(ope, kernel=bad)
         out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
         assert not out["passed"] and out["max_residual"] > 1e-8
+
+    def test_series_exp_runs_once_per_cartan_class(self, monkeypatch):
+        # D4's 16 ordered node pairs fall into the classes A_ij = 2, -1, 0
+        calls = []
+        series_exp = currents.series_exp
+
+        def counted(log):
+            calls.append(log)
+            return series_exp(log)
+
+        _oscillator_part.cache_clear()
+        monkeypatch.setattr(currents, "series_exp", counted)
+        ctx = ctx_for("D", 4)
+        (res,) = run_suite(ctx, ["Eq19"]).results
+        assert res.passed and res.n_samples == 16 * 16
+        assert len(ctx._contract_cache) == 16 and len(calls) == 3
+
+    def test_a_zero_mode_defect_in_one_node_pair_is_not_hidden(self):
+        # the zero-mode monomial is still reordered per node pair: an error
+        # of 1e-6 in one node pair's coefficient, not the first of its class,
+        # fails the check
+        ctx = ctx_for("D", 4)
+        pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
+        i, j = pairs[1]
+        ope = ctx.contract(ctx.spec("E", i), ctx.spec("E", j))
+        bad = dataclasses.replace(ope, coeff=ope.coeff * (1 + 1e-6))
+        ctx._contract_cache[("E", i, "E", j)] = bad
+        (res,) = run_suite(ctx, ["Eq19"]).results
+        assert not res.passed and res.max_residual > 1e-8
+
+    def test_circle_samples_are_computed_once_and_read_only(self):
+        ctx = ctx_for("A", 1)
+        xs = ctx.circle_samples()
+        assert ctx.circle_samples() is xs and len(xs) == ctx.n_samples
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+
+
+class TestThetaOrderGuard:
+    def test_a_context_rejects_an_order_too_low_for_its_theta_bases(self):
+        # at q = 0.9, theta(order=80) is off by ~5e-3: Eq19 would read a
+        # false FAIL (7.0e-3)
+        a1, params = make_cartan("A", 1), make_params(0.5, 0.9, 1)
+        with pytest.raises(ValueError, match="use --order 241 or more"):
+            VerifierContext(cartan=a1, params=params)
+        ctx = VerifierContext(cartan=a1, params=params, order=241)
+        # the generic-c checks build inner contexts of their own
+        (res,) = run_suite(ctx, ["Eq30"]).results
+        assert res.n_samples > 0
