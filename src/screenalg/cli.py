@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .algebra import make_cartan, make_params
-from .verifier import VerifierContext, run_suite
+from .verifier import CATALOGUE_NAMES, VerifierContext, run_suite
 
 
 @dataclass
@@ -50,6 +50,12 @@ class RunConfig:
             raise ValueError("Fock degree and window must be nonnegative")
         if self.samples < 1:
             raise ValueError("need at least one exchange sample")
+        if self.random_points < 1:
+            raise ValueError("need at least one random point (random_points); with none, "
+                             "the theta and structure-function checks compare nothing")
+        if self.serre_samples < 1:
+            raise ValueError("need at least one Serre sample (serre_samples); with none, "
+                             "the Serre checks compare nothing")
         if not 0 < self.radius:
             raise ValueError("sample radius must be positive")
         if not 0 < self.tol:
@@ -124,22 +130,10 @@ def config_from_args(args) -> RunConfig:
     if args.config:
         for key, val in read_config_file(args.config).items():
             setattr(cfg, key, val)
-    for name in ("algebra", "order", "samples", "radius", "tol", "seed", "relations", "out"):
-        v = getattr(args, name)
+    for name in _FIELD_TYPES:  # every field with a flag; the flag overrides the file
+        v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, _coerce(name, v) if isinstance(v, str) else v)
-    if args.p is not None:
-        cfg.p = complex(args.p)
-    if args.q is not None:
-        cfg.q = complex(args.q)
-    if args.c is not None:
-        cfg.c = Fraction(args.c)
-    if args.fock_degree is not None:
-        cfg.fock_degree = args.fock_degree
-    if args.fock_window is not None:
-        cfg.fock_window = args.fock_window
-    if args.tol_fock is not None:
-        cfg.tol_fock = args.tol_fock
     return cfg
 
 
@@ -179,8 +173,6 @@ def _write_atomic(path: str, text: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_relations:
-        from .verifier import CATALOGUE_NAMES
-
         print("\n".join(CATALOGUE_NAMES))
         return 0
     try:

@@ -31,6 +31,17 @@ RAISING_KINDS = ("S+", "E")
 LOWERING_KINDS = ("S-", "F")
 
 
+def mode_bracket(a_ij: int, params: DeformationParams, n):
+    """b(n) = [a_i[n], a_j[-n]] for a node pair with Cartan entry a_ij, n != 0.
+
+    ``n`` is an integer or an integer array (elementwise result).
+    """
+    # p^{A n/2} as (p^{A/2})^n keeps every exponent <= |n|: below 100, numpy
+    # raises complex arrays by repeated squaring, as Python does scalars
+    p, q, pa = params.p, params.q, params.p_half**a_ij
+    return (1 - q**n) * (pa**n - pa ** (-n)) * (1 - (p / q) ** n) / (n * (1 - p**n))
+
+
 class ModeBracketTable:
     """Memoized values b_{ij}(n) = [a_i[n], a_j[-n]], keyed by (A_ij, n)."""
 
@@ -45,10 +56,7 @@ class ModeBracketTable:
             return 0.0 + 0.0j
         key = (a_ij, n)
         if key not in self._cache:
-            p, q = self.params.p, self.params.q
-            ph = self.params.p_half
-            num = (1 - q**n) * (ph ** (a_ij * n) - ph ** (-a_ij * n)) * (1 - (p / q) ** n)
-            self._cache[key] = num / (n * (1 - p**n))
+            self._cache[key] = mode_bracket(a_ij, self.params, n)
         return self._cache[key]
 
     def bracket(self, i: int, j: int, n: int, m: int) -> complex:
@@ -90,15 +98,7 @@ def contraction_log_coeff(
     """
     if np.any(np.asarray(m) < 1):
         raise ValueError("contraction log coefficients are indexed by m >= 1")
-    # p^{A m/2} as (p^{A/2})^m keeps every exponent <= m: below 100, numpy
-    # raises complex arrays by repeated squaring, as Python does scalars
-    p, q, pa = params.p, params.q, params.p_half**a_ij
-    b = (
-        (1 - q**m)
-        * (pa**m - pa ** (-m))
-        * (1 - (p / q) ** m)
-        / (m * (1 - p**m))
-    )
+    b = mode_bracket(a_ij, params, m)
     return osc_coeff(kind_x, params, m) * osc_coeff(kind_y, params, -m) * b
 
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from screenalg.cli import RunConfig, context_from_config, main, read_config_file
+from screenalg.verifier import CATALOGUE
 
 
 def run_cli(args):
@@ -69,6 +70,7 @@ class TestRelationsFilter:
         assert run_cli(["--list-relations"]) == 0
         out = capsys.readouterr().out
         assert "Eq21-EF-commutator" in out and "Eq48-Serre-E" in out
+        assert out.split() == [name for name, *_ in CATALOGUE] and len(CATALOGUE) == 48
 
 
 class TestDeterminism:
@@ -130,6 +132,19 @@ class TestConfigFile:
         )
         assert rc == 0
         assert json.loads(out.read_text())["algebra"] == "A1"
+
+    @pytest.mark.parametrize("key, reason", [
+        ("random_points", "at least one random point"),
+        ("serre_samples", "at least one Serre sample"),
+    ])
+    def test_sampling_count_of_zero_rejected(self, tmp_path, capsys, key, reason):
+        # with no samples the theta and structure checks used to pass with n=0,
+        # and the Serre checks to fail on A2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        rc = run_cli(["--config", str(cfg), "--relations", "theta,Serre,psi", "--quiet"])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -25,13 +25,45 @@ from screenalg.verifier import (
     _exchange_driver,
     _serre_driver,
     _structure_driver,
-    _wrap_g,
     g_ee,
     g_he,
     g_spsp,
 )
 
 PR = make_params(0.09, 0.3, 1)
+
+# the 48 relations of the catalogue, in report order, written out so that
+# the catalogue is not tested against itself
+EXPECTED_NAMES = [
+    "theta-quasiperiodicity", "heisenberg-bracket",
+    "Eq7-SpSp-exchange", "Eq8-SmSm-exchange",
+    "Eq10-SpSm-same-node", "Eq11-SpSm-adjacent", "Eq12-SpSm-orthogonal",
+    "Eq13-SmSp-same-node", "Eq14-SmSp-adjacent", "Eq15-SmSp-orthogonal",
+    "PostEq20-EF-same-node", "PostEq20-EF-adjacent", "PostEq20-EF-orthogonal",
+    "PostEq20-FE-same-node", "PostEq20-FE-adjacent", "PostEq20-FE-orthogonal",
+    "Eq19-EE-exchange", "Eq20-FF-exchange", "Eq21-EF-commutator",
+    "Eq24-HH-exchange", "Eq25-HpHm-exchange", "Eq26-HpE-exchange", "Eq27-HmE-exchange",
+    "Eq28-HpF-exchange", "Eq29-HmF-exchange",
+    "Eq30-sl2-HH-generic-c", "Eq31-sl2-HpHm-generic-c", "Eq32-sl2-HpE-generic-c",
+    "Eq33-sl2-HmE-generic-c", "Eq34-sl2-HpF-generic-c", "Eq35-sl2-HmF-generic-c",
+    "Eq36-sl2-EE-generic-c", "Eq37-sl2-FF-generic-c", "Eq38-sl2-EF-commutator-generic-c",
+    "Eq39-HH-exchange-c", "Eq40-HpHm-exchange-c", "Eq41-HpE-exchange-c", "Eq42-HmE-exchange-c",
+    "Eq43-HpF-exchange-c", "Eq44-HmF-exchange-c", "Eq45-EE-exchange-c", "Eq46-FF-exchange-c",
+    "Eq47-EF-commutator-c", "Eq48-Serre-E", "Eq51-Serre-F",
+    "psi-inversion", "phi-factorization", "serre-coefficients-from-psi",
+]
+
+# each general-c row that repeats a level-1 row's computation, and that row
+ALIASES = {
+    "Eq39-HH-exchange-c": "Eq24-HH-exchange",
+    "Eq40-HpHm-exchange-c": "Eq25-HpHm-exchange",
+    "Eq41-HpE-exchange-c": "Eq26-HpE-exchange",
+    "Eq42-HmE-exchange-c": "Eq27-HmE-exchange",
+    "Eq43-HpF-exchange-c": "Eq28-HpF-exchange",
+    "Eq44-HmF-exchange-c": "Eq29-HmF-exchange",
+    "Eq45-EE-exchange-c": "Eq19-EE-exchange",
+    "Eq47-EF-commutator-c": "Eq21-EF-commutator",
+}
 
 
 def ctx_for(label, rank, **kw):
@@ -84,18 +116,18 @@ class TestStructureFunctions:
 
 class TestExchangeDrivers:
     def test_eq19_a1(self):
-        out = _exchange_driver(ctx_for("A", 1, order=60), "E", "E", _wrap_g(g_ee))
+        out = _exchange_driver(ctx_for("A", 1, order=60), (("E", "E"),), g_ee)
         assert out["passed"] and out["max_residual"] < 1e-8
 
     def test_eq19_orthogonal_is_exact(self):
         out = _exchange_driver(
-            ctx_for("A", 3, order=40), "E", "E", _wrap_g(g_ee), a_filter=(0,)
+            ctx_for("A", 3, order=40), (("E", "E"),), g_ee, a_filter=(0,)
         )
         assert out["max_residual"] < 1e-14
 
     def test_eq7_vacuous_without_instances(self):
         out = _exchange_driver(
-            ctx_for("A", 1, order=40), "S+", "S+", _wrap_g(g_spsp), a_filter=(-1,)
+            ctx_for("A", 1, order=40), (("S+", "S+"),), g_spsp, a_filter=(-1,)
         )
         assert out["passed"] and "vacuous" in out["notes"]
 
@@ -103,12 +135,12 @@ class TestExchangeDrivers:
         # with the uncorrected (-1)^{A-1} sign the adjacent-node relation fails
         ctx = ctx_for("A", 2, order=60)
 
-        def g_wrong(c, z, w, a_ij, i, j):
+        def g_wrong(c, z, w, a_ij):
             return -g_he(c, z, w, a_ij, +1)
 
-        out = _exchange_driver(ctx, "H+", "E", g_wrong, a_filter=(-1,))
+        out = _exchange_driver(ctx, (("H+", "E"),), g_wrong, a_filter=(-1,))
         assert not out["passed"]
-        out2 = _exchange_driver(ctx, "H+", "E", _wrap_g(g_he, sign=+1), a_filter=(-1,))
+        out2 = _exchange_driver(ctx, (("H+", "E"),), g_he, (("sign", 1),), a_filter=(-1,))
         assert out2["passed"]
 
 
@@ -157,8 +189,8 @@ class TestCatalogue:
     def test_completeness(self):
         ctx = ctx_for("A", 2)
         names = [name for name, *_ in build_catalogue(ctx)]
-        assert names == CATALOGUE_NAMES
-        assert len(set(names)) == len(names)
+        assert names == CATALOGUE_NAMES == EXPECTED_NAMES
+        assert len(set(names)) == len(names) == 48
 
     def test_every_entry_has_anchor(self):
         for name, anchor, route, _ in build_catalogue(ctx_for("A", 2)):
@@ -171,6 +203,92 @@ class TestCatalogue:
         entries = {name: route for name, _, route, _ in build_catalogue(ctx)}
         assert entries["Eq21-EF-commutator"] == "skipped"
         assert entries["Eq19-EE-exchange"] == "series"
+
+
+class TestAliases:
+    @pytest.mark.parametrize("label, rank, fock", [("A", 2, True), ("E", 6, False)])
+    def test_alias_rows_equal_their_owner_rows(self, label, rank, fock):
+        # the E6 Fock route is out of reach, so there the commutator pair is left out
+        pairs = {a: o for a, o in ALIASES.items() if fock or "commutator" not in a}
+        ctx = ctx_for(label, rank, order=60)
+        rows = {r.name: r for r in run_suite(ctx, [*pairs, *pairs.values()]).results}
+        assert len(rows) == 2 * len(pairs)
+        for alias, owner in pairs.items():
+            a, o = dataclasses.asdict(rows[alias]), dataclasses.asdict(rows[owner])
+            for key in ("name", "anchor", "notes", "seconds"):
+                a.pop(key), o.pop(key)
+            assert a == o and rows[alias].passed
+            at_c1 = "" if alias.startswith("Eq45") else " at c = 1"
+            assert rows[alias].notes.endswith(f"same computation as {owner}{at_c1}")
+            assert "same computation" not in rows[owner].notes
+
+    def test_eq46_is_not_an_alias(self):
+        # qtilde = exp(log p)/q is p/q only up to rounding, so Eq46 computes
+        (eq20, eq46) = run_suite(ctx_for("A", 2), ["Eq20-FF", "Eq46-FF"]).results
+        assert eq46.notes == "" and eq46.passed
+        assert eq46.max_residual != eq20.max_residual
+
+    def test_an_alias_run_alone_computes_and_says_so(self):
+        (res,) = run_suite(ctx_for("A", 2), ["Eq41"]).results
+        assert res.passed and res.n_samples == 4 * 16
+        assert res.notes == "same computation as Eq26-HpE-exchange at c = 1"
+
+    @pytest.mark.parametrize("owner, alias", [("Eq24", "Eq39"), ("Eq21", "Eq47")])
+    def test_each_driver_runs_once_per_computation(self, monkeypatch, owner, alias):
+        calls = []
+
+        def counting(driver):
+            def counted(ctx, *args):
+                calls.append(driver)
+                return driver(ctx, *args)
+
+            return counted
+
+        wrapped = {row[3]: counting(row[3]) for row in verifier.CATALOGUE}
+        monkeypatch.setattr(verifier, "CATALOGUE", tuple(
+            (*row[:3], wrapped[row[3]], *row[4:]) for row in verifier.CATALOGUE
+        ))
+        ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
+        rep = run_suite(ctx, [owner, alias])
+        assert len(rep.results) == 2 and rep.all_pass
+        assert len(calls) == 1
+
+    def test_hh_row_fails_when_one_kind_pair_skips_every_sample(self, monkeypatch):
+        ratio = VerifierContext.exchange_ratio
+
+        def skip_hmhm(ctx, sx, sy, x):
+            if sx.kind == sy.kind == "H-":
+                raise SkipSample("every H-H- sample skipped")
+            return ratio(ctx, sx, sy, x)
+
+        monkeypatch.setattr(VerifierContext, "exchange_ratio", skip_hmhm)
+        (res,) = run_suite(ctx_for("A", 2, order=60), ["Eq24"]).results
+        assert res.skipped == res.n_samples // 2 > 0
+        assert res.max_residual < 1e-8 and not res.passed
+
+
+class TestPassRule:
+    def test_zero_random_points_fail_the_random_checks(self):
+        ctx = ctx_for("A", 2, n_random=0)
+        rows = run_suite(ctx, ["theta", "psi-inversion", "phi-factorization"]).results
+        assert [(r.n_samples, r.passed) for r in rows] == [(0, False)] * 3
+
+    def test_zero_exchange_samples_fail_unless_vacuous(self):
+        rows = run_suite(ctx_for("A", 1, n_samples=0), ["Eq19", "Eq10", "Eq11"]).results
+        # A1 has no adjacent node pair, so Eq11 is vacuous and still passes
+        assert [(r.name, r.passed) for r in rows] == [
+            ("Eq10-SpSm-same-node", False), ("Eq11-SpSm-adjacent", True), ("Eq19-EE-exchange", False)
+        ]
+        assert "vacuous" in rows[1].notes
+
+    def test_generic_c_skips_are_counted_and_all_skipped_fails(self, monkeypatch):
+        def no_theta(ctx, x, a):
+            raise SkipSample("every theta value below the floor")
+
+        monkeypatch.setattr(VerifierContext, "theta_g", no_theta)
+        (res,) = run_suite(ctx_for("A", 1), ["Eq30"]).results
+        assert res.skipped == res.n_samples == 24
+        assert not res.passed
 
 
 class TestRunSuite:
@@ -227,7 +345,7 @@ class TestThetaSkipPath:
         # an absurd floor forces every sample onto the skip path; a check
         # with nothing left to compare must not report a pass
         ctx = ctx_for("A", 1, order=40, theta_floor=1e6)
-        out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
         assert out["skipped"] == out["n_samples"] > 0
         assert not out["passed"]
 
@@ -260,7 +378,7 @@ class TestSeriesCaches:
 
         monkeypatch.setattr(ContractionKernel, "evaluate", counted)
         ctx = ctx_for("D", 4)
-        out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
         assert out["passed"] and out["n_samples"] == 16 * 16
         assert len(seen) == len(set(seen)) == 3 * 2 * 16
         assert len(seen) < 16 * 16 * 2
@@ -277,7 +395,7 @@ class TestSeriesCaches:
             for g in ope.kernel.groups
         ))
         ctx._contract_cache[("E", i, "E", j)] = dataclasses.replace(ope, kernel=bad)
-        out = _exchange_driver(ctx, "E", "E", _wrap_g(g_ee))
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
         assert not out["passed"] and out["max_residual"] > 1e-8
 
     def test_series_exp_runs_once_per_cartan_class(self, monkeypatch):
