@@ -13,9 +13,9 @@ from .currents import (
     CurrentSpec,
     OpeResult,
     closed_form,
-    compose_h,
     contract,
     current_spec,
+    zero_modes,
 )
 from .fock import (
     FockBasisState,
@@ -27,7 +27,6 @@ from .fock import (
 )
 from .heisenberg import (
     ModeBracketTable,
-    ZeroModeWord,
     contraction_log_coeff,
     osc_coeff,
     zero_mode_reorder,
@@ -74,10 +73,8 @@ __all__ = [
     "RelationResult",
     "VerificationReport",
     "VerifierContext",
-    "ZeroModeWord",
     "build_catalogue",
     "closed_form",
-    "compose_h",
     "contract",
     "contraction_log_coeff",
     "current_spec",
@@ -95,4 +92,5 @@ __all__ = [
     "series_exp",
     "theta",
     "zero_mode_reorder",
+    "zero_modes",
 ]

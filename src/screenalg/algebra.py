@@ -117,15 +117,6 @@ class DeformationParams:
     def pq(self) -> complex:
         return self.p / self.q
 
-    def p_pow(self, half_exponent: int | float) -> complex:
-        """p^(half_exponent/2) through the fixed principal square root."""
-        if half_exponent == int(half_exponent):
-            return self.p_half ** int(half_exponent)
-        return self.p ** (half_exponent / 2.0)
-
-    def with_c(self, c) -> "DeformationParams":
-        return make_params(self.p, self.q, c)
-
 
 def make_params(p: complex, q: complex, c=Fraction(1)) -> DeformationParams:
     """Validate moduli constraints and populate derived scalars.

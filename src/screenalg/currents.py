@@ -17,8 +17,11 @@ in two equivalent forms:
   product on the whole x-plane minus poles.  This is the analytic
   continuation used for every exchange-relation check.
 
-Composite Cartan currents contract pairwise through their constituents;
-the pairwise zero-mode monomials multiply to the exact composite monomial.
+Each atomic kind's zero modes are one row of :func:`zero_modes`, and M is
+the product of the scalars from moving each X constituent's momentum
+factor past each Y constituent's charge.  Composite Cartan currents
+contract pairwise through their constituents.  Both M and C read the node
+pair only through A_ij, so a contraction is built once per Cartan class.
 """
 
 from __future__ import annotations
@@ -29,18 +32,30 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .algebra import CartanMatrix, DeformationParams
-from .heisenberg import (
-    ZeroModeWord,
-    contraction_log_coeff,
-    zero_mode_reorder,
-)
+from .heisenberg import OSCILLATOR_CLASS, contraction_log_coeff, zero_mode_reorder
 from .qlaurent import LaurentSeries, series_exp
 
 ATOMIC_KINDS = ("S+", "S-", "E", "F")
 COMPOSITE_KINDS = ("H+", "H-")
 
-# oscillator structure of each atomic kind ("+" raising-type, "-" lowering-type)
-_OSC_CLASS = {"S+": "+", "E": "+", "S-": "-", "F": "-"}
+
+def zero_modes(kind: str, params: DeformationParams) -> tuple[complex, complex, complex]:
+    """Zero-mode data (charge, gamma, const) of an atomic current at node i.
+
+    The current carries e^{charge Q_i} (const z)^{gamma a_i[0]}, gamma in
+    a[0] units (a_i[0] = beta P_i): E and F are lattice-valued, e^{+-Q_i}
+    (const z)^{+-P_i}, while the S+- powers are not integer in P.
+    """
+    beta = params.beta
+    if kind == "S+":
+        return 1, 1.0, 1.0
+    if kind == "S-":
+        return -1 / beta, -1.0 / beta, 1.0
+    if kind == "E":
+        return 1, 1 / beta, params.pq_half
+    if kind == "F":
+        return -1, -1 / beta, params.q_half
+    raise ValueError(f"unknown atomic current kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -49,76 +64,14 @@ class CurrentSpec:
 
     ``constituents`` lists (atomic kind, argument multiplier); atomic currents
     have a single constituent with multiplier 1, the Cartan currents H+- have
-    their two shifted constituents.
+    their two shifted constituents.  Each constituent's zero modes are read
+    from :func:`zero_modes` with its const scaled by the multiplier.
     """
 
     kind: str
     node: int
     rank: int
     constituents: tuple[tuple[str, complex], ...]
-
-    def charge(self, params: DeformationParams) -> np.ndarray:
-        """Coefficient vector of Q in the exponent (complex for S-)."""
-        eps = np.zeros(self.rank, dtype=complex)
-        for kind, _ in self.constituents:
-            if kind in ("S+", "E"):
-                eps[self.node] += 1
-            elif kind == "F":
-                eps[self.node] -= 1
-            elif kind == "S-":
-                eps[self.node] -= 1 / params.beta
-        return eps
-
-    def p_charge(self) -> np.ndarray | None:
-        """Charge in root-lattice units, or None when not lattice-valued (S-)."""
-        v = np.zeros(self.rank, dtype=int)
-        for kind, _ in self.constituents:
-            if kind == "S-":
-                return None
-            v[self.node] += {"S+": 1, "E": 1, "F": -1}[kind]
-        return v
-
-    def momentum_data(
-        self, params: DeformationParams
-    ) -> list[tuple[complex, np.ndarray | None]]:
-        """Per constituent: (scale const, P-basis exponent vector or None).
-
-        The factor is (const * argument)^(pvec . P); S+- zero modes are not
-        integer powers of P and return pvec None (their a[0]-basis words are
-        still available through :meth:`word`).
-        """
-        out = []
-        for kind, shift in self.constituents:
-            e = np.zeros(self.rank, dtype=int)
-            if kind == "E":
-                e[self.node] = 1
-                out.append((shift * params.pq_half, e))
-            elif kind == "F":
-                e[self.node] = -1
-                out.append((shift * params.q_half, e))
-            else:
-                out.append((shift, None))
-        return out
-
-    def word(self, var: str, params: DeformationParams) -> ZeroModeWord:
-        """Zero-mode word of the current evaluated at (var * shifts)."""
-        beta = params.beta
-        charge = self.charge(params)
-        factors = []
-        for (kind, shift), (const, pvec) in zip(
-            self.constituents, self.momentum_data(params)
-        ):
-            gamma = np.zeros(self.rank, dtype=complex)
-            if pvec is not None:
-                gamma[self.node] = pvec[self.node] / beta
-            elif kind == "S+":
-                gamma[self.node] = 1.0
-            else:  # S-
-                gamma[self.node] = -1.0 / beta
-            factors.append((complex(const), var, tuple(gamma)))
-        return ZeroModeWord(
-            rank=self.rank, charge=tuple(charge), factors=tuple(factors)
-        )
 
 
 def current_spec(kind: str, node: int, rank: int, params: DeformationParams) -> CurrentSpec:
@@ -136,11 +89,6 @@ def current_spec(kind: str, node: int, rank: int, params: DeformationParams) -> 
             kind, node, rank, (("E", 1 / params.pq_half), ("F", params.pq_half))
         )
     raise ValueError(f"unknown current kind {kind!r}")
-
-
-def compose_h(node: int, sign: int, rank: int, params: DeformationParams) -> CurrentSpec:
-    """Cartan current H^sign_node as a composite of shifted E and F."""
-    return current_spec("H+" if sign > 0 else "H-", node, rank, params)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +185,7 @@ def _atomic_kernel(
     if a_ij == 0:
         return ContractionKernel(())
     p, q, ph = params.p, params.q, params.p_half
-    cx, cy = _OSC_CLASS[kind_x], _OSC_CLASS[kind_y]
+    cx, cy = OSCILLATOR_CLASS[kind_x], OSCILLATOR_CLASS[kind_y]
     terms = [(1, ph**a_ij), (-1, ph ** (-a_ij))]
     dens: list[complex] = [p]
     avail = {"q": 1, "pq": 1}
@@ -266,46 +214,37 @@ def _atomic_kernel(
 
 @dataclass(frozen=True)
 class OpeResult:
-    """X(z) Y(w) = coeff * z^z_exp * w^w_exp * prefactor(w/z) * :X(z) Y(w):"""
+    """X(z) Y(w) = coeff * z^z_exp * prefactor(w/z) * :X(z) Y(w):"""
 
     spec_x: CurrentSpec
     spec_y: CurrentSpec
     coeff: complex
     z_exp: complex
-    w_exp: complex
     series: LaurentSeries  # prefactor as truncated power series in x = w/z
     kernel: ContractionKernel
 
-    def monomial(self, z: complex, w: complex) -> complex:
-        out = self.coeff
-        if self.z_exp != 0:
-            out *= z**self.z_exp
-        if self.w_exp != 0:
-            out *= w**self.w_exp
-        return out
+    def monomial(self, z: complex) -> complex:
+        return self.coeff * z**self.z_exp if self.z_exp != 0 else self.coeff
 
     def evaluate(self, z: complex, w: complex) -> complex:
         """Monomial times the fully summed prefactor (meromorphic route)."""
         val, _ = self.kernel.evaluate(w / z)
-        return self.monomial(z, w) * val
+        return self.monomial(z) * val
 
     def laurent_in_x(self, first_var_is_z: bool = True) -> tuple[complex, LaurentSeries]:
-        """Full coefficient of :XY: as (overall z power, Laurent series in x = w/z).
+        """Full coefficient of :XY: as (z power, Laurent series in x = w/z).
 
-        The monomial's w-dependence is folded into powers of x, leaving the
-        common power z^(z_exp + w_exp).  With ``first_var_is_z`` False the
-        result reads a contraction computed in the reversed order (first
-        argument w) on the same x axis, which is how the inner and outer
-        expansions of a cross relation are brought to one window.
+        With ``first_var_is_z`` False the result reads a contraction computed
+        in the reversed order (first argument w) on the same x axis: its
+        monomial w^z_exp becomes z^z_exp x^z_exp.  This is how the inner and
+        outer expansions of a cross relation are brought to one window.
         """
-        zsum = self.z_exp + self.w_exp
         if first_var_is_z:
-            shift, series = complex(self.w_exp), self.series
-        else:
-            shift, series = complex(self.z_exp), self.series.flip()
+            return self.z_exp, self.series * self.coeff
+        shift = complex(self.z_exp)
         if abs(shift - round(shift.real)) > 1e-9:
             raise ValueError("monomial exponent is not an integer; no common Laurent window")
-        return zsum, (series * self.coeff).shift(int(round(shift.real)))
+        return self.z_exp, (self.series.flip() * self.coeff).shift(int(round(shift.real)))
 
 
 def contract(
@@ -317,67 +256,49 @@ def contract(
 ) -> OpeResult:
     """Wick contraction of X(z) Y(w) over all constituent pairs.
 
-    The oscillator part reads the node pair only through A_ij, so it comes
-    from :func:`_oscillator_part`, shared by value; the zero-mode monomial
-    reads the node indices and is reordered here for every node pair.
+    Both the oscillator part and the zero-mode monomial read the node pair
+    only through A_ij, so the whole contraction comes from
+    :func:`_node_free_part`, built once per Cartan class and shared by value.
     """
     a_ij = cartan[spec_x.node, spec_y.node]
-    series, kernel = _oscillator_part(
-        spec_x.constituents, spec_y.constituents, a_ij, params, order
-    )
-    coeff = 1.0 + 0.0j
-    z_exp = 0.0 + 0.0j
-    w_exp = 0.0 + 0.0j
-    for kx, sx in spec_x.constituents:
-        ax = current_spec(kx, spec_x.node, spec_x.rank, params)
-        wx = _shifted_word(ax, "z", sx, params)
-        for ky, sy in spec_y.constituents:
-            ay = current_spec(ky, spec_y.node, spec_y.rank, params)
-            # X-constituent factors past the Y-constituent charge
-            wy = _shifted_word(ay, "w", sy, params)
-            red = zero_mode_reorder(wx, wy, cartan, params)
-            mcoeff, zp = red.monomial()
-            coeff *= mcoeff
-            z_exp += zp.get("z", 0.0)
-            w_exp += zp.get("w", 0.0)
-    return OpeResult(spec_x, spec_y, coeff, z_exp, w_exp, series, kernel)
+    parts = _node_free_part(spec_x.constituents, spec_y.constituents, a_ij, params, order)
+    return OpeResult(spec_x, spec_y, *parts)
 
 
 @lru_cache(maxsize=256)
-def _oscillator_part(
+def _node_free_part(
     cons_x: tuple[tuple[str, complex], ...],
     cons_y: tuple[tuple[str, complex], ...],
     a_ij: int,
     params: DeformationParams,
     order: int,
-) -> tuple[LaurentSeries, ContractionKernel]:
-    """Node-free oscillator part of a contraction: (series, q-product kernel).
+) -> tuple[complex, complex, LaurentSeries, ContractionKernel]:
+    """Node-free part of a contraction: (coeff, z_exp, series, q-product kernel).
 
     The constituent pairs' log series share one order, so they are summed
-    and exponentiated once (exp is multiplicative on such series).  The
-    result is shared by every node pair with the same A_ij; its coefficient
-    array is read-only, so an in-place edit raises instead of reaching them.
+    and exponentiated once (exp is multiplicative on such series), and their
+    zero-mode monomials multiply.  The result is shared by every node pair
+    with the same A_ij; its coefficient array is read-only, so an in-place
+    edit raises instead of reaching them.
     """
     ms = np.arange(1, order + 1)
     log = np.zeros(order + 1, dtype=complex)
     kernel = ContractionKernel(())
+    coeff, z_exp = 1.0 + 0.0j, 0.0 + 0.0j
     for kx, sx in cons_x:
+        _, gamma_x, const_x = zero_modes(kx, params)
         for ky, sy in cons_y:
             scale = sy / sx
             log[1:] += contraction_log_coeff(kx, ky, a_ij, params, ms) * scale**ms
             kernel = kernel * _atomic_kernel(kx, ky, a_ij, params).scale(scale)
+            # X's momentum factor, at argument z * sx, past Y's charge
+            charge_y = zero_modes(ky, params)[0]
+            c, e = zero_mode_reorder(const_x * sx, gamma_x, a_ij, charge_y, params)
+            coeff *= c
+            z_exp += e
     series = series_exp(LaurentSeries(0, log, order))
     series.coeffs.flags.writeable = False
-    return series, kernel
-
-
-def _shifted_word(
-    spec: CurrentSpec, var: str, shift: complex, params: DeformationParams
-) -> ZeroModeWord:
-    """Zero-mode word of an atomic current evaluated at var * shift."""
-    w = spec.word(var, params)
-    factors = tuple((const * shift, v, g) for const, v, g in w.factors)
-    return ZeroModeWord(rank=w.rank, charge=w.charge, factors=factors, coeff=w.coeff)
+    return coeff, z_exp, series, kernel
 
 
 # ---------------------------------------------------------------------------

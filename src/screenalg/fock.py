@@ -11,11 +11,12 @@ through the Newton recursion k h_k = sum_m m kappa(m) a[m] h_{k-m}.
 
 a_i[0] acts on |lam> with eigenvalue beta * (A lam)_i, so E/F/H modes carry
 integer indices within a sector.  X[n] is the coefficient of z^{-n} in X(z);
-the zero modes contribute z^{off}, off = sum pvec . (A lam), so X[n] maps
-degree g to the single degree g - n - off.  Complete-mode contract: with caps
-(src_cap, tgt_cap) a mode is returned iff its degree shift is at most
-tgt_cap - src_cap, and then with its exact block for every source degree up
-to src_cap; no returned mode is truncated.
+the zero modes contribute z^{off}, off = (A lam)_i times the summed charges
++-1 of X's E/F constituents, so X[n] maps degree g to the single degree
+g - n - off.  Complete-mode contract: with caps (src_cap, tgt_cap) a mode is
+returned iff its degree shift is at most tgt_cap - src_cap, and then with its
+exact block for every source degree up to src_cap; no returned mode is
+truncated.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import CartanMatrix, DeformationParams
-from .currents import CurrentSpec, current_spec
+from .currents import CurrentSpec, current_spec, zero_modes
 from .heisenberg import ModeBracketTable, osc_coeff
 
 State = tuple[tuple[int, ...], ...]  # one descending partition per node
@@ -198,28 +199,31 @@ class FockSpace:
         groups: dict[tuple[int, int], list[tuple[str, complex]]] = {}
         for spec, var in specs_vars:
             for kind, shift in spec.constituents:
-                cls = "E" if kind in ("S+", "E") else "F"
-                groups.setdefault((spec.node, var), []).append((cls, complex(shift)))
+                groups.setdefault((spec.node, var), []).append((kind, complex(shift)))
         legs = []
         for (node, var), members in groups.items():
             legs.append((node, var, _merged_kappa(self.params, tuple(members))))
         return legs
 
-    def _zero_mode(self, spec: CurrentSpec, lam) -> tuple[complex, int]:
-        """Scalar factor and z-power of the zero modes acting on sector lam."""
-        alam = self.cartan.pairing(lam)
-        scalar = 1.0 + 0.0j
-        offset = 0
-        for const, pvec in spec.momentum_data(self.params):
-            if pvec is None:
+    def _zero_mode(self, spec: CurrentSpec, lam) -> tuple[complex, int, int]:
+        """Scalar factor, z-power and lattice charge of the zero modes on sector lam.
+
+        E and F carry e^{+-Q_i} (const z)^{+-P_i}: the momentum power equals
+        the lattice charge, and P_i acts on lam as (A lam)_i.
+        """
+        alam = int(self.cartan.pairing(lam)[spec.node])
+        scalar, offset, total = 1.0 + 0.0j, 0, 0
+        for kind, shift in spec.constituents:
+            if kind not in ("E", "F"):
                 raise ValueError(
                     f"{spec.kind} has non-integer momentum exponents; "
                     "the Fock route supports E, F and H currents only"
                 )
-            e = int(pvec @ alam)
-            scalar *= const**e
-            offset += e
-        return scalar, offset
+            charge, _, const = zero_modes(kind, self.params)
+            scalar *= (shift * const) ** (charge * alam)
+            offset += charge * alam
+            total += charge
+        return scalar, offset, total
 
     def _lower_into(self, out: np.ndarray, coeff: complex, node: int, m: int, x, degree: int):
         """out += coeff * a_node[m] x, for columns x at `degree` and m > 0."""
@@ -276,12 +280,12 @@ class FockSpace:
         n_vars = 1 + max(var for _, var in specs_vars)
         scalar = 1.0 + 0.0j
         off = [0] * n_vars
-        tgt = np.asarray(lam, dtype=int)
+        tgt = list(lam)
         for spec, var in specs_vars:
-            s, o = self._zero_mode(spec, lam)
+            s, o, charge = self._zero_mode(spec, lam)
             scalar *= s
             off[var] += o
-            tgt = tgt + spec.p_charge()  # lattice-valued: _zero_mode refuses S+-
+            tgt[spec.node] += charge
         span = tgt_cap - src_cap
         starts = _degree_starts(self.rank, src_cap)
 
@@ -311,7 +315,7 @@ class FockSpace:
                     powers = (zd, t - g - zd)[2 - n_vars :]  # (z, w) or (z,)
                     key = tuple(-(e + o) for e, o in zip(powers, off))
                     modes.setdefault(key, {})[g] = (t, block)
-        return tuple(int(x) for x in tgt), tuple(off), modes
+        return tuple(tgt), tuple(off), modes
 
     def sector_modes(self, spec: CurrentSpec, lam, src_cap: int, tgt_cap: int):
         """(target_sector, offset, dict[n] -> Blocks) for one current; cached."""
@@ -338,7 +342,7 @@ class FockSpace:
     def current_mode_matrix(self, spec: CurrentSpec, n: int, lam, cap: int) -> ModeMatrix:
         """Exact matrix of X[n] between degree-capped sector bases."""
         lam = tuple(int(x) for x in lam)
-        _, offset = self._zero_mode(spec, lam)
+        _, offset, _ = self._zero_mode(spec, lam)
         lo, hi = -cap - offset, cap - offset
         if not lo <= n <= hi:
             raise ModeWindowError(

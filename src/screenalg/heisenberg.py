@@ -12,23 +12,20 @@ exponent:
     kind "+" (raising-type, exponent +s^+):   1/(q^{-m} - 1)
     kind "-" (lowering-type, exponent -s^-):  1/((q/p)^m - 1)
 
-The zero-mode sector is a small normal-form algebra on words made of
-charges e^{Q} and momentum monomials (c*z)^{gamma . a[0]}; reordering a
-momentum factor past a charge multiplies by (c*z)^{beta * gamma^T A eps}.
+Each current's zero modes are e^{charge Q_i} (const z)^{gamma a_i[0]}
+(the per-kind table is ``currents.zero_modes``); moving the momentum factor
+of X past the charge of Y multiplies by (const z)^{beta gamma A_ij charge}.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import CartanMatrix, DeformationParams
 
-# oscillator-coefficient structure per current kind: sign of the exponent
-# is already folded in, so kind "+" covers S+ and E, kind "-" covers S- and F.
-RAISING_KINDS = ("S+", "E")
-LOWERING_KINDS = ("S-", "F")
+# oscillator class per atomic kind, the sign of the exponent folded in:
+# "+" (raising-type) covers S+ and E, "-" (lowering-type) covers S- and F.
+OSCILLATOR_CLASS = {"S+": "+", "E": "+", "S-": "-", "F": "-"}
 
 
 def mode_bracket(a_ij: int, params: DeformationParams, n):
@@ -75,12 +72,13 @@ def osc_coeff(kind: str, params: DeformationParams, m):
     ``m`` is an integer or an integer array (elementwise result).
     """
     if np.any(np.asarray(m) == 0):
-        raise ValueError("zero modes are handled by ZeroModeWord, not osc_coeff")
-    if kind in RAISING_KINDS:
+        raise ValueError("zero modes are read from currents.zero_modes, not osc_coeff")
+    cls = OSCILLATOR_CLASS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown current kind {kind!r}")
+    if cls == "+":
         return 1.0 / (params.q ** (-m) - 1.0)
-    if kind in LOWERING_KINDS:
-        return 1.0 / ((params.q / params.p) ** m - 1.0)
-    raise ValueError(f"unknown current kind {kind!r}")
+    return 1.0 / ((params.q / params.p) ** m - 1.0)
 
 
 def contraction_log_coeff(
@@ -102,79 +100,19 @@ def contraction_log_coeff(
     return osc_coeff(kind_x, params, m) * osc_coeff(kind_y, params, -m) * b
 
 
-@dataclass(frozen=True)
-class ZeroModeWord:
-    """Normal-form word: scalar monomial * e^{charge . Q} * momentum factors.
-
-    ``factors`` is an ordered tuple of (const, var, gamma) triples, each
-    standing for (const * var)^{gamma . a[0]} with gamma in the a[0] basis.
-    ``coeff`` and ``zpow`` hold the scalar monomial accumulated by
-    reordering: coeff * prod_var var^{zpow[var]}.
-    """
-
-    rank: int
-    charge: tuple[complex, ...] = ()
-    factors: tuple[tuple[complex, str, tuple[complex, ...]], ...] = ()
-    coeff: complex = 1.0 + 0.0j
-    zpow: tuple[tuple[str, complex], ...] = ()
-
-    def __post_init__(self):
-        if not self.charge:
-            object.__setattr__(self, "charge", (0.0 + 0.0j,) * self.rank)
-
-    def zpow_dict(self) -> dict[str, complex]:
-        return dict(self.zpow)
-
-    def monomial(self) -> tuple[complex, dict[str, complex]]:
-        """The accumulated reordering scalar as (coefficient, var -> exponent)."""
-        return self.coeff, self.zpow_dict()
-
-
-def momentum_factor_word(
-    rank: int, const: complex, var: str, gamma, coeff: complex = 1.0
-) -> ZeroModeWord:
-    return ZeroModeWord(
-        rank=rank,
-        factors=((complex(const), var, tuple(complex(g) for g in gamma)),),
-        coeff=complex(coeff),
-    )
-
-
-def charge_word(rank: int, eps, coeff: complex = 1.0) -> ZeroModeWord:
-    return ZeroModeWord(
-        rank=rank, charge=tuple(complex(e) for e in eps), coeff=complex(coeff)
-    )
-
-
 def zero_mode_reorder(
-    w1: ZeroModeWord,
-    w2: ZeroModeWord,
-    cartan: CartanMatrix,
+    const_x: complex,
+    gamma_x: complex,
+    a_ij: int,
+    charge_y: complex,
     params: DeformationParams,
-) -> ZeroModeWord:
-    """Normal form of w1 * w2: all charges left of all momentum factors.
+) -> tuple[complex, complex]:
+    """Scalar (const_x**e, e) from moving (const_x z)^{gamma_x a_i[0]} past e^{charge_y Q_j}.
 
-    Moving each momentum factor of w1 past the total charge of w2 multiplies
-    the word by (const * var)^e with e = beta * gamma^T A eps2; the integer
-    cases (E/F-type words) come out exact.
+    [a_i[0], Q_j] = beta A_ij gives e = beta * gamma_x * A_ij * charge_y; the
+    lattice cases (E/F past E/F) come out as exact integers.
     """
-    if w1.rank != w2.rank:
-        raise ValueError("rank mismatch")
-    a = cartan.entries
-    eps2 = np.asarray(w2.charge, dtype=complex)
-    coeff = w1.coeff * w2.coeff
-    zpow = dict(w1.zpow)
-    for var, e in w2.zpow:
-        zpow[var] = zpow.get(var, 0.0) + e
-    for const, var, gamma in w1.factors:
-        e = params.beta * complex(np.asarray(gamma, dtype=complex) @ a @ eps2)
-        if abs(e - round(e.real)) < 1e-12:
-            e = complex(round(e.real))
-        if e != 0:
-            coeff *= const**e
-            zpow[var] = zpow.get(var, 0.0) + e
-    charge = tuple(c1 + c2 for c1, c2 in zip(w1.charge, w2.charge))
-    zp = tuple(sorted((v, e) for v, e in zpow.items() if e != 0))
-    return ZeroModeWord(
-        rank=w1.rank, charge=charge, factors=w1.factors + w2.factors, coeff=coeff, zpow=zp
-    )
+    e = params.beta * (gamma_x * a_ij * charge_y)
+    if abs(e - round(e.real)) < 1e-12:
+        e = complex(round(e.real))
+    return const_x**e, e

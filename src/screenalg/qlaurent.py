@@ -4,9 +4,7 @@ A :class:`LaurentSeries` stores complex coefficients on an integer exponent
 window.  ``order`` is the largest exponent the series knows exactly;
 arithmetic never extends knowledge past it.  Exponents below the stored
 window are exactly zero (all series here are truncated expansions with
-finitely many negative powers).  A single complex ``offset`` can mark a
-global non-integer exponent shift (one per momentum sector); series with
-different offsets do not mix.
+finitely many negative powers).
 
 The formal distribution delta(x) = sum_{n in Z} x^n enters as the
 difference between the inner and outer expansion of a rational function;
@@ -68,7 +66,6 @@ class LaurentSeries:
     min_exp: int
     coeffs: np.ndarray
     order: int
-    offset: complex = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -81,19 +78,15 @@ class LaurentSeries:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def from_coeff_map(cmap: dict[int, complex], order: int, offset: complex = 0.0):
+    def from_coeff_map(cmap: dict[int, complex], order: int):
         if not cmap:
-            return LaurentSeries(0, np.zeros(1, dtype=complex), order, offset)
+            return LaurentSeries(0, np.zeros(1, dtype=complex), order)
         lo, hi = min(cmap), min(max(cmap), order)
         arr = np.zeros(hi - lo + 1, dtype=complex)
         for k, v in cmap.items():
             if k <= order:
                 arr[k - lo] = v
-        return LaurentSeries(lo, arr, order, offset)
-
-    @staticmethod
-    def one(order: int) -> "LaurentSeries":
-        return LaurentSeries(0, np.array([1.0 + 0j]), order)
+        return LaurentSeries(lo, arr, order)
 
     # -- queries ---------------------------------------------------------------
 
@@ -115,26 +108,17 @@ class LaurentSeries:
     def canonical(self) -> "LaurentSeries":
         nz = np.flatnonzero(np.abs(self.coeffs) > 0)
         if len(nz) == 0:
-            return LaurentSeries(0, np.zeros(1, dtype=complex), self.order, self.offset)
+            return LaurentSeries(0, np.zeros(1, dtype=complex), self.order)
         lo, hi = nz[0], nz[-1]
-        return LaurentSeries(
-            self.min_exp + lo, self.coeffs[lo : hi + 1].copy(), self.order, self.offset
-        )
+        return LaurentSeries(self.min_exp + lo, self.coeffs[lo : hi + 1].copy(), self.order)
 
     def evaluate(self, x: complex) -> complex:
         ks = np.arange(self.min_exp, self.max_stored + 1)
-        return complex(np.sum(self.coeffs * np.asarray(x, dtype=complex) ** ks)) * (
-            x**self.offset if self.offset != 0 else 1.0
-        )
+        return complex(np.sum(self.coeffs * np.asarray(x, dtype=complex) ** ks))
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _check_offset(self, other: "LaurentSeries"):
-        if self.offset != other.offset:
-            raise ValueError("cannot combine series with different exponent offsets")
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_offset(other)
         order = min(self.order, other.order)
         lo = min(self.min_exp, other.min_exp)
         hi = min(max(self.max_stored, other.max_stored), order)
@@ -143,59 +127,32 @@ class LaurentSeries:
             a, b = s.min_exp, min(s.max_stored, hi)
             if b >= a:
                 arr[a - lo : b - lo + 1] += s.coeffs[: b - a + 1]
-        return LaurentSeries(lo, arr, order, self.offset)
+        return LaurentSeries(lo, arr, order)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_exp, -self.coeffs, self.order, self.offset)
+        return LaurentSeries(self.min_exp, -self.coeffs, self.order)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentSeries":
         if np.isscalar(other):
-            return LaurentSeries(
-                self.min_exp, self.coeffs * other, self.order, self.offset
-            )
-        # offsets add on multiplication; equality only matters for add/sub
+            return LaurentSeries(self.min_exp, self.coeffs * other, self.order)
         # product known up to min(order1 + min_exp2, order2 + min_exp1)
         order = min(self.order + other.min_exp, other.order + self.min_exp)
         arr = np.convolve(self.coeffs, other.coeffs)
         lo = self.min_exp + other.min_exp
-        return LaurentSeries(lo, arr, order, self.offset + other.offset)
+        return LaurentSeries(lo, arr, order)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by x^k."""
-        return LaurentSeries(self.min_exp + k, self.coeffs, self.order + k, self.offset)
-
-    def scale_arg(self, s: complex) -> "LaurentSeries":
-        """Substitute x -> s*x (coefficient of x^k scales by s^k)."""
-        ks = np.arange(self.min_exp, self.max_stored + 1)
-        return LaurentSeries(
-            self.min_exp, self.coeffs * np.asarray(s, complex) ** ks, self.order, self.offset
-        )
+        return LaurentSeries(self.min_exp + k, self.coeffs, self.order + k)
 
     def flip(self) -> "LaurentSeries":
         """Substitute x -> 1/x; the known window reflects accordingly."""
-        return LaurentSeries(
-            -self.max_stored, self.coeffs[::-1].copy(), -self.min_exp, -self.offset
-        )
-
-    def inverse(self) -> "LaurentSeries":
-        """Reciprocal of a series whose lowest stored coefficient is a unit."""
-        s = self.canonical()
-        a0 = s.coeffs[0]
-        if a0 == 0:
-            raise ValueError("series is zero; cannot invert")
-        n = s.order - s.min_exp + 1
-        a = np.zeros(n, dtype=complex)
-        a[: len(s.coeffs)] = s.coeffs
-        inv = np.zeros(n, dtype=complex)
-        inv[0] = 1 / a0
-        for k in range(1, n):
-            inv[k] = -np.dot(a[1 : k + 1], inv[k - 1 :: -1][:k]) / a0
-        return LaurentSeries(-s.min_exp, inv, s.order - 2 * s.min_exp, -s.offset)
+        return LaurentSeries(-self.max_stored, self.coeffs[::-1].copy(), -self.min_exp)
 
 
 def series_exp(logseries: LaurentSeries) -> LaurentSeries:
@@ -262,8 +219,6 @@ def delta_extract(
     Rows are rescaled before the least-squares solve because the model
     columns grow geometrically in |k|.
     """
-    if f_inner.offset != f_outer.offset:
-        raise ValueError("inner and outer series carry different offsets")
     if window is None:
         lo = min(f_inner.min_exp, f_outer.min_exp)
         hi = max(

@@ -153,7 +153,7 @@ class VerifierContext:
         if hit is None:
             hit = self._kernel_cache[ope.kernel, x] = ope.kernel.evaluate(x)
         val, closest = hit
-        return ope.monomial(z, w) * val, closest
+        return ope.monomial(z) * val, closest
 
     def exchange_ratio(self, spec_x: CurrentSpec, spec_y: CurrentSpec, x: complex) -> complex:
         vxy, c1 = self.kernel_value(self.contract(spec_x, spec_y), 1.0, x)
@@ -486,9 +486,9 @@ def _commutator_driver(ctx: VerifierContext):
             comb = delta_extract(
                 inner, outer, poles, tol=tol_series, window=(-window - 2, window)
             )
-            w_expect = {1 / q: q / (p - 1), p / q: q / (p * (1 - p))}
+            expected = {1 / q: q / (p - 1), p / q: q / (p * (1 - p))}
             werr = max(
-                abs(comb.weight_at(s) - wv) / abs(wv) for s, wv in w_expect.items()
+                abs(comb.weight_at(s) - wv) / abs(wv) for s, wv in expected.items()
             )
             series_res.append(max(comb.residual, werr))
             details[f"supports[{i},{j}]"] = [
@@ -653,7 +653,7 @@ def _heisenberg_driver(ctx):
         "consistency check: the engine's bracket (heisenberg.mode_bracket) against "
         "the printed formula, on the run algebra and on D4"
     )
-    return _outcome(residuals, 0, 0, 1e-12, notes)
+    return _outcome(residuals, len(residuals), 0, 1e-12, notes)
 
 
 def _structure_driver(ctx, which: str):

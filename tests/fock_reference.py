@@ -111,12 +111,12 @@ def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: in
     legs = space._merged_legs(specs_vars)
     scalar = 1.0 + 0.0j
     off = [0, 0]
-    tgt = np.asarray(lam, dtype=int)
+    tgt = list(lam)
     for spec, var in specs_vars:
-        s, o = space._zero_mode(spec, lam)
+        s, o, charge = space._zero_mode(spec, lam)
         scalar *= s
         off[var] += o
-        tgt = tgt + spec.p_charge()
+        tgt[spec.node] += charge
     rank = space.rank
     modes: dict[tuple[int, int], dict] = {}
     for src_deg in range(src_cap + 1):
@@ -143,4 +143,4 @@ def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: in
                     )
                 _, mat = block_map[src_deg]
                 mat[_state_index(rank, tdeg)[state], col] += coeff
-    return tuple(int(x) for x in tgt), tuple(off), modes
+    return tuple(tgt), tuple(off), modes

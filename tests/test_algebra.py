@@ -87,3 +87,14 @@ class TestMakeParams:
         assert abs(pr.p_half**2 - pr.p) < 1e-14
         assert abs(pr.q_half**2 - pr.q) < 1e-14
         assert abs(pr.pq_half**2 - pr.p / pr.q) < 1e-14
+
+
+class TestPackageExports:
+    def test_every_exported_name_resolves(self):
+        import screenalg
+
+        missing = [n for n in screenalg.__all__ if not hasattr(screenalg, n)]
+        assert not missing and len(set(screenalg.__all__)) == len(screenalg.__all__)
+        namespace: dict = {}
+        exec("from screenalg import *", namespace)
+        assert set(screenalg.__all__) <= set(namespace)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from screenalg import (
     ModeBracketTable,
@@ -9,11 +8,13 @@ from screenalg import (
     make_params,
     osc_coeff,
     zero_mode_reorder,
+    zero_modes,
 )
-from screenalg.heisenberg import ZeroModeWord, charge_word, momentum_factor_word
 
 PR = make_params(0.09, 0.3, 1)
 A2 = make_cartan("A", 2)
+# beta = 1 - log p / log q is -1 at PR; WIDE has a non-integer beta (-2.376)
+WIDE = make_params(0.3, 0.7, 1)
 
 
 class TestBracket:
@@ -120,48 +121,45 @@ class TestContractionLogCoeff:
                 assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (kx, ky)
 
 
-def p_word(rank, i, var="z", const=1.0):
-    """(const*var)^{P_i} as a zero-mode word (a[0] basis carries 1/beta)."""
-    gamma = np.zeros(rank, dtype=complex)
-    gamma[i] = 1 / PR.beta
-    return momentum_factor_word(rank, const, var, gamma)
+# z-exponent from moving X's momentum factor past Y's charge, by kind pair:
+# a[0] = beta P, E/F carry e^{+-Q} z^{+-P}, S+ carries z^{a[0]} and S- carries
+# e^{-Q/beta} z^{-a[0]/beta}
+EXPONENT = {
+    ("E", "E"): lambda a, b: a,
+    ("E", "F"): lambda a, b: -a,
+    ("F", "E"): lambda a, b: -a,
+    ("F", "F"): lambda a, b: a,
+    ("S+", "S+"): lambda a, b: b * a,
+    ("S+", "S-"): lambda a, b: -a,
+    ("S-", "S+"): lambda a, b: -a,
+    ("S-", "S-"): lambda a, b: a / b,
+    ("E", "S+"): lambda a, b: a,
+    ("E", "S-"): lambda a, b: -a / b,
+    ("F", "S+"): lambda a, b: -a,
+    ("F", "S-"): lambda a, b: a / b,
+    ("S+", "E"): lambda a, b: b * a,
+    ("S+", "F"): lambda a, b: -b * a,
+    ("S-", "E"): lambda a, b: -a,
+    ("S-", "F"): lambda a, b: a,
+}
 
 
 class TestZeroModeReorder:
     def test_momentum_past_charge(self):
-        # z^{P_i} e^{Q_j} -> e^{Q_j} z^{A_ij} z^{P_i}
-        w1 = p_word(2, 0)
-        w2 = charge_word(2, [0.0, 1.0])
-        out = zero_mode_reorder(w1, w2, A2, PR)
-        assert out.zpow_dict()["z"] == pytest.approx(A2[0, 1])
-        assert out.charge == (0.0, 1.0)
-        assert out.factors == w1.factors
+        # (c z)^{P_i} e^{Q_j} -> e^{Q_j} (c z)^{A_ij} (c z)^{P_i}
+        coeff, e = zero_mode_reorder(2.0, 1 / WIDE.beta, A2[0, 1], 1, WIDE)
+        assert e == A2[0, 1] and coeff == 2.0 ** A2[0, 1]
 
-    def test_charges_commute(self):
-        w1 = charge_word(2, [1.0, 0.0])
-        w2 = charge_word(2, [0.0, 1.0])
-        out = zero_mode_reorder(w1, w2, A2, PR)
-        assert out.coeff == 1.0
-        assert out.zpow == ()
-        assert out.charge == (1.0, 1.0)
-
-    def test_idempotent_normal_form(self):
-        w1 = p_word(2, 0)
-        w2 = charge_word(2, [0.0, 1.0])
-        once = zero_mode_reorder(w1, w2, A2, PR)
-        # reordering an already-normal word against the identity changes nothing
-        identity = ZeroModeWord(rank=2)
-        again = zero_mode_reorder(once, identity, A2, PR)
-        assert again.coeff == once.coeff and again.zpow == once.zpow
-
-    @given(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
-    @settings(max_examples=40, deadline=None)
-    def test_associative(self, c1, c2, c3):
-        w1 = p_word(2, 0, const=1.0)
-        w2 = zero_mode_reorder(charge_word(2, [c1, c2]), p_word(2, 1, const=2.0), A2, PR)
-        w3 = charge_word(2, [c3, 1])
-        left = zero_mode_reorder(zero_mode_reorder(w1, w2, A2, PR), w3, A2, PR)
-        right = zero_mode_reorder(w1, zero_mode_reorder(w2, w3, A2, PR), A2, PR)
-        assert left.charge == right.charge
-        assert left.zpow_dict() == pytest.approx(right.zpow_dict())
-        assert left.coeff == pytest.approx(right.coeff)
+    @pytest.mark.parametrize("a_ij", [2, -1, 0])
+    @pytest.mark.parametrize("kx,ky", list(EXPONENT))
+    def test_exponent_per_kind_pair(self, kx, ky, a_ij):
+        _, gamma_x, const_x = zero_modes(kx, WIDE)
+        charge_y = zero_modes(ky, WIDE)[0]
+        coeff, e = zero_mode_reorder(const_x, gamma_x, a_ij, charge_y, WIDE)
+        want = EXPONENT[kx, ky](a_ij, WIDE.beta)
+        if kx != "S+" and ky != "S-":  # +-A_ij: snapped to an exact integer
+            assert e == want and e.imag == 0.0
+            assert coeff == const_x**want
+        else:
+            assert e == pytest.approx(want, rel=1e-14, abs=1e-15)
+            assert coeff == pytest.approx(const_x**want, rel=1e-14)

@@ -166,18 +166,10 @@ class TestSeriesBasics:
         with pytest.raises(ValueError):
             prod.coeff(prod.order + 1)
 
-    def test_inverse_unit(self):
-        s = LaurentSeries.from_coeff_map({0: 2.0, 1: -0.5, 3: 0.25}, 12)
-        one = s * s.inverse()
-        assert abs(one.coeff(0) - 1) < 1e-12
-        assert all(abs(one.coeff(k)) < 1e-12 for k in range(1, 10))
-
     def test_flip_and_scale(self):
         s = LaurentSeries.from_coeff_map({1: 2.0, 2: 3.0}, 8)
         f = s.flip()
         assert f.coeff(-1) == 2.0 and f.coeff(-2) == 3.0
-        g = s.scale_arg(2.0)
-        assert g.coeff(1) == 4.0 and g.coeff(2) == 12.0
 
     def test_evaluate(self):
         s = LaurentSeries.from_coeff_map({-1: 1.0, 2: 2.0}, 8)

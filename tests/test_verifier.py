@@ -16,7 +16,7 @@ from screenalg import (
     theta,
 )
 from screenalg import currents, verifier
-from screenalg.currents import ContractionKernel, KernelGroup, _oscillator_part
+from screenalg.currents import ContractionKernel, KernelGroup, _node_free_part
 from screenalg.qlaurent import qpochhammer
 from screenalg.verifier import (
     SkipSample,
@@ -315,6 +315,12 @@ class TestRunSuite:
         assert d["all_pass"] is True
         assert len(d["errata"]) == 5
 
+    def test_heisenberg_bracket_counts_what_it_compares(self):
+        # A2's 4 node pairs and D4's 16, n = 1..30, two residuals each, and
+        # one more per D4 orthogonal pair (6 of them)
+        (res,) = run_suite(ctx_for("A", 2), ["heisenberg-bracket"]).results
+        assert res.passed and res.n_samples == (4 + 16) * 30 * 2 + 6 * 30 == 1380
+
 
 class TestThetaDriver:
     def test_triple_product_sum_separates_a_mutant(self, monkeypatch):
@@ -400,24 +406,24 @@ class TestSeriesCaches:
 
     def test_series_exp_runs_once_per_cartan_class(self, monkeypatch):
         # D4's 16 ordered node pairs fall into the classes A_ij = 2, -1, 0
-        calls = []
-        series_exp = currents.series_exp
+        calls = {"series_exp": 0, "zero_mode_reorder": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(currents, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
 
-        def counted(log):
-            calls.append(log)
-            return series_exp(log)
-
-        _oscillator_part.cache_clear()
-        monkeypatch.setattr(currents, "series_exp", counted)
+            monkeypatch.setattr(currents, name, counted)
+        _node_free_part.cache_clear()
         ctx = ctx_for("D", 4)
         (res,) = run_suite(ctx, ["Eq19"]).results
         assert res.passed and res.n_samples == 16 * 16
-        assert len(ctx._contract_cache) == 16 and len(calls) == 3
+        assert len(ctx._contract_cache) == 16
+        assert calls == {"series_exp": 3, "zero_mode_reorder": 3}
 
     def test_a_zero_mode_defect_in_one_node_pair_is_not_hidden(self):
-        # the zero-mode monomial is still reordered per node pair: an error
-        # of 1e-6 in one node pair's coefficient, not the first of its class,
-        # fails the check
+        # the zero-mode monomial is shared by a Cartan class, but a cached
+        # contraction is per node pair: an error of 1e-6 in one node pair's
+        # coefficient, not the first of its class, fails the check
         ctx = ctx_for("D", 4)
         pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
         i, j = pairs[1]
