@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, help="seed fixing all random sampling")
     ap.add_argument(
         "--relations",
-        help="comma-separated substrings; run only matching relation names (e.g. Eq21)",
+        help="comma-separated names or leading dash-separated parts of names; run only "
+        "those relations (e.g. Eq21, PostEq20, Eq20-FF)",
     )
     ap.add_argument("--out", help="write the JSON report to this path (atomically)")
     ap.add_argument("--list-relations", action="store_true", help="list catalogue names and exit")

@@ -27,7 +27,7 @@ pair only through A_ij, so a contraction is built once per Cartan class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .heisenberg import OSCILLATOR_CLASS, contraction_log_coeff, zero_mode_reord
 from .qlaurent import LaurentSeries, series_exp
 
 ATOMIC_KINDS = ("S+", "S-", "E", "F")
-COMPOSITE_KINDS = ("H+", "H-")
 
 
 def zero_modes(kind: str, params: DeformationParams) -> tuple[complex, complex, complex]:
@@ -107,14 +106,6 @@ class KernelGroup:
 class ContractionKernel:
     groups: tuple[KernelGroup, ...]
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.groups)
-
-    def __hash__(self) -> int:
-        # kernels key the verifier's value cache: hash the nested terms once
-        return self._hash
-
     def scale(self, s: complex) -> "ContractionKernel":
         """Argument substitution x -> s x (mu_j -> s mu_j)."""
         return ContractionKernel(
@@ -137,24 +128,25 @@ class ContractionKernel:
             tot += sum(sg * mu**m for sg, mu in g.terms) / den
         return tot / m
 
-    def evaluate(self, x: complex, tol: float = 1e-17) -> tuple[complex, float]:
-        """Fully summed product at x; also returns min |factor| (pole guard).
+    def evaluate(self, x, tol: float = 1e-17):
+        """Fully summed product at x, and min |factor| there (pole guard).
 
-        Each term contributes prod_k (1 - x mu rho^k)^{-sigma}.
+        Each term contributes prod_k (1 - x mu rho^k)^{-sigma}.  Per element
+        for an array ``x``.
         """
-        out = 1.0 + 0.0j
-        closest = np.inf
+        x = np.asarray(x, dtype=complex)
+        out = np.ones_like(x)
+        closest = np.full(x.shape, np.inf)
         for g in self.groups:
             lat = _den_lattice(g.dens, tol)
             for sigma, mu in g.terms:
-                f = 1 - x * mu * lat
-                am = float(np.min(np.abs(f)))
-                closest = min(closest, am)
-                if am == 0.0:
+                f = 1 - (x * mu)[..., None] * lat
+                am = np.abs(f).min(-1)
+                if (am == 0.0).any():
                     raise ZeroDivisionError("contraction product hit an exact pole/zero")
-                pf = complex(np.prod(f))
-                out *= pf ** (-sigma)
-        return out, closest
+                closest = np.minimum(closest, am)
+                out *= f.prod(-1) ** (-sigma)
+        return out[()], closest[()]
 
 
 @lru_cache(maxsize=256)
@@ -226,10 +218,14 @@ class OpeResult:
     def monomial(self, z: complex) -> complex:
         return self.coeff * z**self.z_exp if self.z_exp != 0 else self.coeff
 
-    def evaluate(self, z: complex, w: complex) -> complex:
-        """Monomial times the fully summed prefactor (meromorphic route)."""
-        val, _ = self.kernel.evaluate(w / z)
-        return self.monomial(z) * val
+    def evaluate(self, z, w):
+        """Monomial times the fully summed prefactor (meromorphic route).
+
+        Also returns the kernel's min |factor| at w/z (pole guard); per
+        element for arrays ``z``, ``w``.
+        """
+        val, closest = self.kernel.evaluate(w / z)
+        return self.monomial(z) * val, closest
 
     def laurent_in_x(self, first_var_is_z: bool = True) -> tuple[complex, LaurentSeries]:
         """Full coefficient of :XY: as (z power, Laurent series in x = w/z).

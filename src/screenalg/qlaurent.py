@@ -23,34 +23,36 @@ import numpy as np
 @lru_cache(maxsize=256)
 def _powers(a: complex, order: int) -> np.ndarray:
     """1, a, a^2, ..., a^(order-1), read-only; shared by every product in base a."""
-    out = np.full(order, a, dtype=complex)
-    out[0] = 1.0
+    out = np.full(max(order, 0), a, dtype=complex)
+    out[:1] = 1.0
     out = np.cumprod(out)
     out.flags.writeable = False
     return out
 
 
-def qpochhammer(x: complex, a: complex, order: int) -> complex:
+def qpochhammer(x, a: complex, order: int):
     """Truncated q-Pochhammer product prod_{n=0}^{order-1} (1 - x a^n).
 
     Truncation error against the infinite product is O(|x| |a|^order).  The
     powers of a are cached per (a, order), and one ``np.multiply.reduce``
-    takes the product of the factors.
+    takes the product of the factors.  ``x`` may be an array: the product
+    is then taken per element; a scalar ``x`` gives a complex.
     """
     if abs(a) >= 1:
         raise ValueError(f"|a| = {abs(a):.6g} violates |a| < 1")
-    if order <= 0:
-        return 1.0 + 0.0j
+    if isinstance(x, np.ndarray):
+        return np.multiply.reduce(1.0 - x[..., None] * _powers(a, order), axis=-1)
     return complex(np.multiply.reduce(1.0 - x * _powers(a, order)))
 
 
-def theta(x: complex, a: complex, order: int = 80) -> complex:
+def theta(x, a: complex, order: int = 80):
     """Triple-product theta: (x|a)_inf (a/x|a)_inf (a|a)_inf, truncated.
 
     Elliptic with multiplicative periods a and e^{2 pi i}; satisfies
-    theta(a x) = -theta(x)/x.  Zeros exactly at x = a^k, k in Z.
+    theta(a x) = -theta(x)/x.  Zeros exactly at x = a^k, k in Z.  Per
+    element for an array ``x``, like :func:`qpochhammer`.
     """
-    if x == 0:
+    if np.count_nonzero(x == 0):
         raise ValueError("theta undefined at x = 0 (a/x factor)")
     return (
         qpochhammer(x, a, order)

@@ -80,18 +80,14 @@ def _check_theta_order(params: DeformationParams, order: int, tol: float):
 
 @dataclass
 class VerifierContext:
-    """Shared configuration and caches for one verification run.
+    """Shared configuration for one verification run.
 
-    The series route compares every node pair at every sample, but its values
-    depend on a node pair only through A_ij.  So each value is computed once
-    per run, keyed by the value of its inputs: ``_contract_cache`` holds one
-    contraction per (kind, node, kind, node), ``_theta_cache`` one theta value
-    per (x, base), and ``_kernel_cache`` one summed q-product per
-    (kernel, w/z).  Equal kernels from different node pairs share an entry; a
-    kernel that differs for one node pair is evaluated on its own.  The
-    checks still count every node pair x sample they compare.  ``_results``
-    holds each catalogue row's result by (driver, args), so rows that make
-    the same computation share one run of it.
+    ``exchange_ratio`` and ``structure_function`` take an array of points
+    w/z and return a value per point and a boolean mask of the points to
+    skip: a theta factor below ``theta_floor``, a contraction factor below
+    ``pole_floor``, or a reversed contraction of exactly 0.  No value is
+    cached per sample.  ``_results`` holds each catalogue row's result by
+    (driver, args), so rows that make the same computation share one run.
 
     Building a context rejects an ``order`` whose theta truncation tail is
     not far below ``tol_series`` (see :func:`_check_theta_order`).
@@ -111,12 +107,10 @@ class VerifierContext:
     seed: int = 75018
     theta_floor: float = 1e-6
     pole_floor: float = 1e-9
-    _contract_cache: dict = field(default_factory=dict)
-    _theta_cache: dict = field(default_factory=dict)
-    _kernel_cache: dict = field(default_factory=dict)
     _fock: FockSpace | None = None
     _results: dict = field(default_factory=dict)
     _circle: np.ndarray | None = None
+    _below_floor: np.ndarray | bool = False
 
     def __post_init__(self):
         _check_theta_order(self.params, self.order, self.tol_series)
@@ -131,36 +125,25 @@ class VerifierContext:
         return current_spec(kind, node, self.cartan.rank, self.params)
 
     def contract(self, spec_x: CurrentSpec, spec_y: CurrentSpec) -> OpeResult:
-        key = (spec_x.kind, spec_x.node, spec_y.kind, spec_y.node)
-        if key not in self._contract_cache:
-            self._contract_cache[key] = contract(
-                spec_x, spec_y, self.cartan, self.params, self.order
-            )
-        return self._contract_cache[key]
+        return contract(spec_x, spec_y, self.cartan, self.params, self.order)
 
-    def theta_g(self, x: complex, a: complex) -> complex:
-        v = self._theta_cache.get((x, a))
-        if v is None:
-            v = self._theta_cache[x, a] = theta(x, a, self.order)
-        if abs(v) < self.theta_floor:
-            raise SkipSample(f"theta value {abs(v):.2e} below floor")
+    def theta_g(self, x, a: complex):
+        """theta(x, a) at this run's order; marks the points below ``theta_floor``."""
+        v = theta(x, a, self.order)
+        self._below_floor = self._below_floor | (np.abs(v) < self.theta_floor)
         return v
 
-    def kernel_value(self, ope: OpeResult, z: complex, w: complex) -> tuple[complex, float]:
-        """Monomial times the summed q-product at (z, w), and min |factor| (pole guard)."""
-        x = w / z
-        hit = self._kernel_cache.get((ope.kernel, x))
-        if hit is None:
-            hit = self._kernel_cache[ope.kernel, x] = ope.kernel.evaluate(x)
-        val, closest = hit
-        return ope.monomial(z) * val, closest
+    def structure_function(self, g_fn, x, a_ij: int, kw=()):
+        """G = ``g_fn(self, 1, x, a_ij, **dict(kw))``, and where a theta factor is below the floor."""
+        self._below_floor = np.zeros(np.shape(x), dtype=bool)
+        g = g_fn(self, 1.0 + 0j, x, a_ij, **dict(kw))
+        return g, self._below_floor
 
-    def exchange_ratio(self, spec_x: CurrentSpec, spec_y: CurrentSpec, x: complex) -> complex:
-        vxy, c1 = self.kernel_value(self.contract(spec_x, spec_y), 1.0, x)
-        vyx, c2 = self.kernel_value(self.contract(spec_y, spec_x), x, 1.0)
-        if min(c1, c2) < self.pole_floor or abs(vyx) == 0.0:
-            raise SkipSample("contraction product too close to a pole")
-        return vxy / vyx
+    def exchange_ratio(self, spec_x: CurrentSpec, spec_y: CurrentSpec, x):
+        """C_XY(1, x) / C_YX(x, 1), and the mask of the points too close to a pole."""
+        vxy, c1 = self.contract(spec_x, spec_y).evaluate(1.0, x)
+        vyx, c2 = self.contract(spec_y, spec_x).evaluate(x, 1.0)
+        return vxy / vyx, (np.minimum(c1, c2) < self.pole_floor) | (vyx == 0)
 
     def circle_samples(self) -> np.ndarray:
         if self._circle is None:
@@ -168,12 +151,6 @@ class VerifierContext:
             self._circle = self.radius * np.exp(1j * ph)
             self._circle.flags.writeable = False
         return self._circle
-
-    def node_pairs_by_class(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for i, j, a in self.cartan.node_pairs():
-            out.setdefault(a, []).append((i, j))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +378,7 @@ def _outcome(residuals, n, skipped, tol, notes="", vacuous=False, compared=None)
     ``tol``, or it is ``vacuous``: the algebra has no node pair of the
     Cartan class the relation needs, so there is nothing to compare.
     """
-    worst = max(residuals, default=0.0)
+    worst = np.max(residuals, initial=0.0)  # a NaN residual propagates and fails
     compared = len(residuals) if compared is None else compared
     return {
         "n_samples": n,
@@ -413,55 +390,68 @@ def _outcome(residuals, n, skipped, tol, notes="", vacuous=False, compared=None)
     }
 
 
+def _by_contraction(ctx, kind_x, kind_y, nodes):
+    """The node pairs grouped by the value of their contractions X Y and Y X.
+
+    Returns ((spec_x, spec_y, a_ij), count) per group, with the group's first
+    node pair.  Node pairs share a group iff A_ij and both contractions'
+    coeff, z_exp and kernel are equal, so a defect in one node pair's
+    contraction puts it in a group of its own.
+    """
+    groups: dict = {}
+    for i, j, a_ij in nodes:
+        sx, sy = ctx.spec(kind_x, i), ctx.spec(kind_y, j)
+        opes = ctx.contract(sx, sy), ctx.contract(sy, sx)
+        key = (a_ij, *((o.coeff, o.z_exp, o.kernel) for o in opes))
+        first, n = groups.get(key, ((sx, sy, a_ij), 0))
+        groups[key] = (first, n + 1)
+    return list(groups.values())
+
+
 def _exchange_driver(ctx, pairs, g_fn, kw=(), a_filter=None):
     """Ratio check of X(z) Y(w) = G(z,w) Y(w) X(z) over node pairs and samples.
 
     ``pairs`` holds the (kind_x, kind_y) current pairs the relation states
     (H+H+ and H-H- for the HH exchange); each must compare a sample.  G is
-    ``g_fn(ctx, z, w, a_ij, **dict(kw))``.
+    ``g_fn(ctx, z, w, a_ij, **dict(kw))``.  Node pairs whose contractions are
+    equal in both directions share one evaluation of R, G and the skip mask
+    over the sample array; samples are counted per node pair.
     """
     nodes = [t for t in ctx.cartan.node_pairs() if a_filter is None or t[2] in a_filter]
     if not nodes:
         return _outcome([], 0, 0, ctx.tol_series, _VACUOUS, vacuous=True)
-    kw = dict(kw)
-    parts, skipped = [], 0
-    for kind_x, kind_y in pairs:
-        part = []
-        for i, j, a_ij in nodes:
-            sx, sy = ctx.spec(kind_x, i), ctx.spec(kind_y, j)
-            for x in ctx.circle_samples():
-                try:
-                    r = ctx.exchange_ratio(sx, sy, complex(x))
-                    g = g_fn(ctx, 1.0 + 0j, complex(x), a_ij, **kw)
-                except SkipSample:
-                    skipped += 1
-                    continue
-                part.append(abs(r - g) / max(abs(r), abs(g)))
-        parts.append(part)
+    xs = ctx.circle_samples()
+    residuals, skipped, compared = [], 0, [0] * len(pairs)
+    for k, (kind_x, kind_y) in enumerate(pairs):
+        for (sx, sy, a_ij), n in _by_contraction(ctx, kind_x, kind_y, nodes):
+            r, skip = ctx.exchange_ratio(sx, sy, xs)
+            g, low = ctx.structure_function(g_fn, xs, a_ij, kw)
+            keep = ~(skip | low)
+            residuals.append((np.abs(r - g) / np.maximum(np.abs(r), np.abs(g)))[keep])
+            skipped += n * int(np.count_nonzero(~keep))
+            compared[k] += n * int(np.count_nonzero(keep))
     total = len(pairs) * len(nodes) * ctx.n_samples
-    residuals = [r for part in parts for r in part]
     return _outcome(
-        residuals, total, skipped, ctx.tol_series, compared=min(map(len, parts))
+        np.concatenate(residuals), total, skipped, ctx.tol_series, compared=min(compared)
     )
 
 
 def _closed_form_driver(ctx, kind_x, kind_y, a_class):
     """Summed contraction x zero-mode monomial against the printed closed form."""
-    pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == a_class]
-    if not pairs:
+    nodes = [t for t in ctx.cartan.node_pairs() if t[2] == a_class]
+    if not nodes:
         return _outcome([], 0, 0, ctx.tol_series, _VACUOUS, vacuous=True)
-    residuals, skipped = [], 0
-    cf = closed_form(kind_x, kind_y, a_class, ctx.params)
-    for i, j in pairs:
-        ope = ctx.contract(ctx.spec(kind_x, i), ctx.spec(kind_y, j))
-        for x in ctx.circle_samples():
-            v, closest = ctx.kernel_value(ope, 1.0, complex(x))
-            if closest < ctx.pole_floor:
-                skipped += 1
-                continue
-            want = cf(1.0 + 0j, complex(x))
-            residuals.append(abs(v - want) / max(abs(v), abs(want)))
-    return _outcome(residuals, len(pairs) * ctx.n_samples, skipped, ctx.tol_series)
+    xs = ctx.circle_samples()
+    want = closed_form(kind_x, kind_y, a_class, ctx.params)(1.0 + 0j, xs)
+    residuals, skipped, compared = [], 0, 0
+    for (sx, sy, _), n in _by_contraction(ctx, kind_x, kind_y, nodes):
+        v, closest = ctx.contract(sx, sy).evaluate(1.0, xs)
+        skip = closest < ctx.pole_floor
+        residuals.append((np.abs(v - want) / np.maximum(np.abs(v), np.abs(want)))[~skip])
+        skipped += n * int(np.count_nonzero(skip))
+        compared += n * int(np.count_nonzero(~skip))
+    total = len(nodes) * ctx.n_samples
+    return _outcome(np.concatenate(residuals), total, skipped, ctx.tol_series, compared=compared)
 
 
 def _commutator_driver(ctx: VerifierContext):
@@ -540,18 +530,17 @@ def _serre_driver(ctx: VerifierContext, kind: str):
     residuals, skipped, total = [], 0, 0
 
     def contraction(i1, z1, i2, z2):
-        ope = ctx.contract(ctx.spec(kind, i1), ctx.spec(kind, i2))
-        v, closest = ctx.kernel_value(ope, z1, z2)
+        v, closest = ctx.contract(ctx.spec(kind, i1), ctx.spec(kind, i2)).evaluate(z1, z2)
         if closest < ctx.pole_floor:
             raise SkipSample("triple product too close to a pole")
         return v
 
-    def triple(order):
+    def triple(pair, order):
+        """Product of the pairwise contractions ``pair[a, b]`` of the currents in ``order``."""
         tot = 1.0 + 0.0j
         for a in range(3):
             for b in range(a + 1, 3):
-                (na, za), (nb, zb) = order[a], order[b]
-                tot *= contraction(na, za, nb, zb)
+                tot *= pair[order[a], order[b]]
         return tot
 
     def psi_fn(x, a_ij):
@@ -571,14 +560,17 @@ def _serre_driver(ctx: VerifierContext, kind: str):
             try:
                 f12 = serre_coefficient(z1, z2, w, psi_fn)
                 f21 = serre_coefficient(z2, z1, w, psi_fn)
-                o1, o2, o3 = (i, z1), (i, z2), (j, w)
+                # the six ordered pairs of the three currents, each contracted once
+                cur = ((i, z1), (i, z2), (j, w))
+                pair = {(a, b): contraction(*cur[a], *cur[b])
+                        for a in range(3) for b in range(3) if a != b}
                 terms = [
-                    triple((o1, o2, o3)),
-                    -f12 * triple((o1, o3, o2)),
-                    triple((o3, o1, o2)),
-                    triple((o2, o1, o3)),
-                    -f21 * triple((o2, o3, o1)),
-                    triple((o3, o2, o1)),
+                    triple(pair, (0, 1, 2)),
+                    -f12 * triple(pair, (0, 2, 1)),
+                    triple(pair, (2, 0, 1)),
+                    triple(pair, (1, 0, 2)),
+                    -f21 * triple(pair, (1, 2, 0)),
+                    triple(pair, (2, 1, 0)),
                 ]
             except SkipSample:
                 skipped += 1
@@ -692,7 +684,10 @@ def _structure_driver(ctx, which: str):
         def psi_engine_e(x, a_ij):
             sx = ctx.spec("E", i)
             sy = ctx.spec("E", i if a_ij == 2 else j)
-            return ctx.exchange_ratio(sx, sy, x)
+            r, skip = ctx.exchange_ratio(sx, sy, x)
+            if skip:
+                raise SkipSample("contraction product too close to a pole")
+            return r
 
         def psi_printed_e(x, a_ij):
             return psi(x, a_ij, ctx.params.q, ctx.params, ctx.order)
@@ -722,28 +717,28 @@ def _sl2_generic_driver(ctx, g_fn, kw=(), self_inverse=False):
     commutator, whose delta supports are compared with the c = 1 ones.  No
     operator check exists away from c = 1.
     """
-    kw = dict(kw)
     rng = np.random.default_rng(ctx.seed + 2)
-    xs = [
+    xs = np.array([
         rng.uniform(0.4, 1.6) * np.exp(1j * rng.uniform(-2.9, 2.9)) for _ in range(12)
-    ]
+    ])
     base = ctx.params
     residuals, skipped = [], 0
     for c in (Fraction(2), Fraction(3)):
         pc = make_params(base.p, base.q, c)
         cctx = VerifierContext(
-            cartan=make_cartan("A", 1), params=pc, order=ctx.order, tol_series=ctx.tol_series
+            cartan=make_cartan("A", 1), params=pc, order=ctx.order,
+            tol_series=ctx.tol_series, theta_floor=ctx.theta_floor,
         )
-        for x in xs:
-            try:
-                if g_fn is not None:
-                    g = g_fn(cctx, 1.0 + 0j, complex(x), 2, **kw)
-                    if self_inverse:
-                        ginv = g_fn(cctx, 1.0 + 0j, 1 / complex(x), 2, **kw)
-                        residuals.append(abs(g * ginv - 1))
-                residuals.append(abs(pc.q * pc.qtilde - pc.p ** float(c)) / abs(pc.p ** float(c)))
-            except SkipSample:
-                skipped += 1
+        skip = np.zeros(len(xs), dtype=bool)
+        if g_fn is not None:
+            g, skip = cctx.structure_function(g_fn, xs, 2, kw)
+            if self_inverse:
+                ginv, skip_inv = cctx.structure_function(g_fn, 1 / xs, 2, kw)
+                skip = skip | skip_inv
+                residuals += list(np.abs(g * ginv - 1)[~skip])
+        qq = abs(pc.q * pc.qtilde - pc.p ** float(c)) / abs(pc.p ** float(c))
+        residuals += [qq] * int(np.count_nonzero(~skip))
+        skipped += int(np.count_nonzero(skip))
     notes = "function-level only; no representation exists away from c=1"
     if g_fn is None:
         p1 = make_params(base.p, base.q, Fraction(1))
@@ -965,11 +960,15 @@ def run_suite(
     ctx: VerifierContext,
     relation_filter: list[str] | None = None,
 ) -> VerificationReport:
-    """Execute the catalogue (optionally filtered) and aggregate a report."""
+    """Execute the catalogue and aggregate a report.
+
+    A filter entry (any trailing ``-`` dropped) selects the names it equals or
+    starts up to a dash, case-insensitive: ``Eq20`` is Eq20-FF-exchange only.
+    """
     cat = build_catalogue(ctx)
     if relation_filter:
-        pats = [f.lower() for f in relation_filter]
-        cat = [c for c in cat if any(p in c[0].lower() for p in pats)]
+        pats = [f.strip().rstrip("-").lower() for f in relation_filter]
+        cat = [c for c in cat if any(f"{c[0]}-".lower().startswith(p + "-") for p in pats)]
 
     def run_one(entry):
         name, anchor, route, runner = entry

@@ -96,7 +96,7 @@ def test_criterion_3_contraction_vs_closed_form():
             )
             cf = closed_form(kx, ky, a_cls, PR)
             for x in xs:
-                got = ope.evaluate(1.0, complex(x))
+                got = ope.evaluate(1.0, complex(x))[0]
                 want = cf(1.0 + 0j, complex(x))
                 worst = max(worst, abs(got - want) / max(abs(got), abs(want)))
     dt = time.perf_counter() - t0

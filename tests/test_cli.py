@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,11 @@ class TestExitCodes:
     def test_filter_miss_is_an_error(self, capsys):
         rc = run_cli(["--algebra", "A1", "--relations", "NoSuchRelation", "--quiet"])
         assert rc == 2
+
+    def test_filter_part_of_a_name_part_is_a_miss(self, capsys):
+        # Eq1 is a substring of Eq10..Eq19 but no whole leading part of them
+        assert run_cli(["--algebra", "A1", "--relations", "Eq1", "--quiet"]) == 2
+        assert "matched nothing" in capsys.readouterr().err
 
     def test_quick_pass(self, tmp_path):
         out = tmp_path / "r.json"
@@ -184,3 +190,20 @@ class TestAtomicWrite:
         assert rc == 0
         json.loads(out.read_text())  # parse must succeed
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".report-")]
+
+
+class TestPinnedReport:
+    def test_a2_default_report_is_unchanged(self, tmp_path):
+        # tests/data/a2_default_report.json is `verify --seed 75018` at the
+        # defaults with the `seconds` fields removed; every other field must
+        # match, and each max_residual to 1e-14 (rounding of the summation order)
+        out = tmp_path / "a2.json"
+        assert run_cli(["--algebra", "A2", "--seed", "75018", "--quiet", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        want = json.loads((Path(__file__).parent / "data" / "a2_default_report.json").read_text())
+        assert [c["relation"] for c in got["checks"]] == [c["relation"] for c in want["checks"]]
+        for g, w in zip(got["checks"], want["checks"]):
+            g.pop("seconds")
+            assert g.pop("max_residual") == pytest.approx(w.pop("max_residual"), rel=0, abs=1e-14)
+            assert g == w, g["relation"]
+        assert got == want

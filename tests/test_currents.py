@@ -34,23 +34,36 @@ class TestContract:
         ope = contract(e0, f2, A3, PR, 40)
         assert ope.coeff == 1.0 and ope.z_exp == 0
         assert np.allclose(ope.series.window(0, 40), [1.0] + [0.0] * 40)
-        assert ope.evaluate(1.0, 0.7j) == pytest.approx(1.0)
+        assert ope.evaluate(1.0, 0.7j)[0] == pytest.approx(1.0)
 
     def test_ef_same_node_matches_closed_form(self):
         e0, f0 = current_spec("E", 0, 2, PR), current_spec("F", 0, 2, PR)
         ope = contract(e0, f0, A2, PR, 80)
         cf = closed_form("E", "F", 2, PR)
         for x in circle():
-            got, want = ope.evaluate(1.0, x), cf(1.0, x)
+            got, want = ope.evaluate(1.0, x)[0], cf(1.0, x)
             assert abs(got - want) / abs(want) < 1e-9
 
     def test_spsm_same_node_matches_closed_form(self):
         sp, sm = current_spec("S+", 0, 2, PR), current_spec("S-", 0, 2, PR)
         ope = contract(sp, sm, A2, PR, 80)
         for x in circle():
-            got = ope.evaluate(1.0, x)
+            got = ope.evaluate(1.0, x)[0]
             want = 1 / ((1 - x * PR.q) * (1 - x * PR.q / PR.p))
             assert abs(got - want) / abs(want) < 1e-9
+
+    @pytest.mark.parametrize("kx, ky", [("E", "F"), ("H+", "H-"), ("S+", "S+")])
+    def test_array_evaluation_matches_the_scalar_loop(self, kx, ky):
+        ope = contract(current_spec(kx, 0, 2, PR), current_spec(ky, 1, 2, PR), A2, PR, 80)
+        xs = circle()
+        for z, w in ((1.0, xs), (xs, 1.0)):
+            vals, closest = ope.evaluate(z, w)
+            assert vals.shape == closest.shape == xs.shape
+            zs, ws = np.broadcast_to(z, xs.shape), np.broadcast_to(w, xs.shape)
+            for k in range(len(xs)):
+                v, c = ope.evaluate(complex(zs[k]), complex(ws[k]))
+                assert abs(vals[k] - v) <= 1e-15 * abs(v)
+                assert closest[k] == pytest.approx(c, rel=1e-15)
 
     def test_series_matches_kernel_inside_radius(self):
         # the truncated series and the q-product are independent summations
@@ -169,12 +182,12 @@ class TestKernelHash:
         # another order is another cache entry, so this kernel is built anew
         rebuilt = contract(hp0, hp1, A3, PR, 41).kernel
         assert rebuilt is not kernel
-        assert rebuilt == kernel and hash(rebuilt) == hash(kernel) == hash(kernel.groups)
+        assert rebuilt == kernel and hash(rebuilt) == hash(kernel)
         assert {kernel: 1}[rebuilt] == 1
         g = kernel.groups[-1]
         bad_group = KernelGroup(((-g.terms[0][0], g.terms[0][1]),) + g.terms[1:], g.dens)
         mutant = dataclasses.replace(kernel, groups=kernel.groups[:-1] + (bad_group,))
-        assert mutant != kernel and hash(mutant) == hash(mutant.groups) != hash(kernel)
+        assert mutant != kernel and hash(mutant) != hash(kernel)
         assert kernel not in {mutant: 1}
 
 
@@ -208,7 +221,7 @@ class TestClosedFormTable:
         ope = contract(sx, sy, A3, params, 80)
         cf = closed_form(kx, ky, a, params)
         for x in circle(8):
-            got, want = ope.evaluate(1.0, x), cf(1.0, x)
+            got, want = ope.evaluate(1.0, x)[0], cf(1.0, x)
             assert abs(got - want) / max(abs(want), 1e-30) < 1e-9
 
 
@@ -234,7 +247,7 @@ class TestComposeH:
         yx = contract(hp1, hp0, A2, PR, 60)
         pa = PR.p_half ** A2[0, 1]
         for x in circle(8):
-            ratio = xy.evaluate(1.0, x) / yx.evaluate(x, 1.0)
+            ratio = xy.evaluate(1.0, x)[0] / yx.evaluate(x, 1.0)[0]
             want = (
                 x ** (-2.0)
                 * theta(x * pa, PR.q, 60)

@@ -40,6 +40,17 @@ class TestQPochhammer:
                     want = qpochhammer_loop(x, a, order)
                     assert abs(qpochhammer(x, a, order) - want) <= tol * abs(want)
 
+    @pytest.mark.parametrize("order", [0, 1, 80])
+    def test_array_matches_the_scalar_calls(self, order):
+        xs = np.array([[0.5 * np.exp(-2.3j), 1.3 * np.exp(0.4j)], [0.8, -0.6j]])
+        a = 0.7 * np.exp(0.9j)
+        got = qpochhammer(xs, a, order)
+        assert got.shape == xs.shape
+        for x, g in zip(xs.ravel(), got.ravel()):
+            want = qpochhammer(complex(x), a, order)
+            assert type(want) is complex
+            assert abs(g - want) <= 1e-15 * abs(want)
+
     def test_matches_mpmath_at_order_241(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
@@ -70,6 +81,19 @@ class TestTheta:
     def test_x_zero_rejected(self):
         with pytest.raises(ValueError):
             theta(0.0, 0.3, 80)
+
+    def test_array_matches_the_scalar_calls(self):
+        xs = 0.6 * np.exp(1j * np.linspace(-3.0, 3.0, 9))
+        for a in (0.3, 0.7 * np.exp(0.4j)):
+            got = theta(xs, a, 80)
+            want = np.array([theta(complex(x), a, 80) for x in xs])
+            assert got.shape == xs.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert type(theta(0.6j, 0.3, 80)) is complex
+
+    def test_x_zero_anywhere_in_an_array_rejected(self):
+        with pytest.raises(ValueError):
+            theta(np.array([0.5, 0.0, 1j]), 0.3, 80)
 
     def test_quasi_periodicity_random(self):
         rng = np.random.default_rng(7)

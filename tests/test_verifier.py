@@ -70,6 +70,16 @@ def ctx_for(label, rank, **kw):
     return VerifierContext(cartan=make_cartan(label, rank), params=PR, **kw)
 
 
+def defective(monkeypatch, key, bad):
+    """Make VerifierContext.contract return ``bad`` for the one (kind, node, kind, node) ``key``."""
+    contract = VerifierContext.contract
+
+    def patched(ctx, sx, sy):
+        return bad if (sx.kind, sx.node, sy.kind, sy.node) == key else contract(ctx, sx, sy)
+
+    monkeypatch.setattr(VerifierContext, "contract", patched)
+
+
 class TestStructureFunctions:
     def test_psi_inversion_all_entries(self):
         rng = np.random.default_rng(3)
@@ -257,9 +267,10 @@ class TestAliases:
         ratio = VerifierContext.exchange_ratio
 
         def skip_hmhm(ctx, sx, sy, x):
+            r, skip = ratio(ctx, sx, sy, x)
             if sx.kind == sy.kind == "H-":
-                raise SkipSample("every H-H- sample skipped")
-            return ratio(ctx, sx, sy, x)
+                skip = np.ones_like(skip)  # every H-H- sample skipped
+            return r, skip
 
         monkeypatch.setattr(VerifierContext, "exchange_ratio", skip_hmhm)
         (res,) = run_suite(ctx_for("A", 2, order=60), ["Eq24"]).results
@@ -281,12 +292,9 @@ class TestPassRule:
         ]
         assert "vacuous" in rows[1].notes
 
-    def test_generic_c_skips_are_counted_and_all_skipped_fails(self, monkeypatch):
-        def no_theta(ctx, x, a):
-            raise SkipSample("every theta value below the floor")
-
-        monkeypatch.setattr(VerifierContext, "theta_g", no_theta)
-        (res,) = run_suite(ctx_for("A", 1), ["Eq30"]).results
+    def test_generic_c_skips_are_counted_and_all_skipped_fails(self):
+        # every theta value below the floor, which the c = 2, 3 contexts inherit
+        (res,) = run_suite(ctx_for("A", 1, theta_floor=1e6), ["Eq30"]).results
         assert res.skipped == res.n_samples == 24
         assert not res.passed
 
@@ -315,6 +323,28 @@ class TestRunSuite:
         assert d["all_pass"] is True
         assert len(d["errata"]) == 5
 
+    def test_full_catalogue_passes_off_p_equals_q_squared(self):
+        # at the default p = q^2, (p/q)^{1/2} = q^{1/2}: a mix-up of E's and F's
+        # zero-mode constants passes every row there and fails 12 rows here
+        ctx = VerifierContext(cartan=make_cartan("A", 2), params=make_params(0.3, 0.7, 1))
+        rep = run_suite(ctx)
+        assert len(rep.results) == 48
+        assert [r.name for r in rep.results if not r.passed] == []
+
+    @pytest.mark.parametrize("pattern, names", [
+        ("Eq20", ["Eq20-FF-exchange"]),
+        ("eq20-ff", ["Eq20-FF-exchange"]),
+        ("Eq7-", ["Eq7-SpSp-exchange"]),
+        ("Eq19-EE-exchange", ["Eq19-EE-exchange"]),
+        ("PostEq20", [n for n in EXPECTED_NAMES if n.startswith("PostEq20-")]),
+        ("Eq1", []),
+        ("Eq20-F", []),
+    ])
+    def test_filter_matches_whole_leading_name_parts(self, pattern, names):
+        rep = run_suite(ctx_for("A", 1, order=40), [pattern])
+        assert [r.name for r in rep.results] == names
+        assert rep.all_pass
+
     def test_heisenberg_bracket_counts_what_it_compares(self):
         # A2's 4 node pairs and D4's 16, n = 1..30, two residuals each, and
         # one more per D4 orthogonal pair (6 of them)
@@ -342,10 +372,37 @@ class TestThetaSkipPath:
     def test_theta_floor_raises_skip(self):
         # p = q^2 at the default parameters, so theta_q(x p) vanishes at x = 1
         ctx = ctx_for("A", 1, order=80)
-        with pytest.raises(SkipSample):
-            ctx.theta_g(PR.p * 1.0, PR.q)
+        g, skip = ctx.structure_function(g_ee, np.array([1.0, 0.5j, 1.0]), 2)
+        assert skip.tolist() == [True, False, True] and np.isfinite(g[1])
         v = theta(PR.p, PR.q, 80)
         assert abs(v) < 1e-10
+
+    def test_mixed_skips_are_counted_per_sample(self):
+        # a floor at the median of A1's smallest E-E theta factor per sample
+        # skips some samples but not all; the reference counts them one by one
+        pa = PR.p_half**2
+        xs = list(map(complex, ctx_for("A", 1).circle_samples()))
+        low = [min(abs(theta(x * pa, PR.q)), abs(theta(pa / x, PR.q))) for x in xs]
+        ctx = ctx_for("A", 1, theta_floor=float(np.median(low)))
+        kernel = ctx.contract(ctx.spec("E", 0), ctx.spec("E", 0)).kernel
+        want = sum(
+            t < ctx.theta_floor
+            or min(kernel.evaluate(x)[1], kernel.evaluate(1 / x)[1]) < ctx.pole_floor
+            for t, x in zip(low, xs)
+        )
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        assert 0 < out["skipped"] == want < out["n_samples"] == 16
+        assert out["passed"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_nan_sample_fails_the_row(self, monkeypatch):
+        # NaN is never read as a skip: a NaN from a defect fails the check
+        ctx = ctx_for("A", 2)
+        ope = ctx.contract(ctx.spec("E", 1), ctx.spec("E", 0))
+        defective(monkeypatch, ("E", 1, "E", 0), dataclasses.replace(ope, coeff=complex("nan")))
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        assert out["skipped"] == 0 and not out["passed"]
+        assert np.isnan(out["max_residual"])
 
     def test_exchange_samples_near_zeros_are_skipped_and_reported(self):
         # an absurd floor forces every sample onto the skip path; a check
@@ -363,35 +420,28 @@ class TestThetaSkipPath:
         assert out["skipped"] == out["n_samples"] == 16
         assert not out["passed"]
 
-    def test_cached_theta_still_hits_the_floor(self):
-        ctx = ctx_for("A", 1, order=80)
-        for _ in range(2):
-            with pytest.raises(SkipSample):
-                ctx.theta_g(PR.p * 1.0, PR.q)
-        assert len(ctx._theta_cache) == 1
-
 
 class TestSeriesCaches:
     def test_each_distinct_kernel_value_is_evaluated_once(self, monkeypatch):
         # D4 has 16 ordered node pairs in three Cartan classes; each class
-        # shares one E-E kernel, evaluated at the 16 samples x and at 1/x
+        # shares one E-E contraction per direction, evaluated once on the
+        # whole sample array (x, then 1/x)
         seen = []
         evaluate = ContractionKernel.evaluate
 
         def counted(kernel, x, *args):
-            seen.append((kernel, x))
+            seen.append((kernel, np.shape(x)))
             return evaluate(kernel, x, *args)
 
         monkeypatch.setattr(ContractionKernel, "evaluate", counted)
         ctx = ctx_for("D", 4)
         out = _exchange_driver(ctx, (("E", "E"),), g_ee)
         assert out["passed"] and out["n_samples"] == 16 * 16
-        assert len(seen) == len(set(seen)) == 3 * 2 * 16
-        assert len(seen) < 16 * 16 * 2
+        assert len(seen) == 3 * 2 and {shape for _, shape in seen} == {(16,)}
 
-    def test_a_defect_in_one_node_pair_is_not_hidden(self):
+    def test_a_defect_in_one_node_pair_is_not_hidden(self, monkeypatch):
         # a kernel off by 1e-6 on one node pair, not the first of its
-        # class, is its own cache key and fails the check
+        # class, is evaluated on its own and fails the check
         ctx = ctx_for("D", 4)
         pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
         i, j = pairs[1]
@@ -400,9 +450,39 @@ class TestSeriesCaches:
             KernelGroup(tuple((sg, mu * (1 + 1e-6)) for sg, mu in g.terms), g.dens)
             for g in ope.kernel.groups
         ))
-        ctx._contract_cache[("E", i, "E", j)] = dataclasses.replace(ope, kernel=bad)
+        defective(monkeypatch, ("E", i, "E", j), dataclasses.replace(ope, kernel=bad))
         out = _exchange_driver(ctx, (("E", "E"),), g_ee)
         assert not out["passed"] and out["max_residual"] > 1e-8
+
+    @pytest.mark.parametrize("row, key", [
+        ("Eq19", ("E", 3, "E", 1)),
+        ("PostEq20-EF-adjacent", ("E", 3, "F", 1)),
+        ("Eq26", ("E", 3, "H+", 1)),  # read only as node pair (1, 3)'s Y X
+    ])
+    @pytest.mark.parametrize("defect", ["kernel", "coeff"])
+    def test_a_defect_in_any_node_pair_fails_its_row(self, monkeypatch, row, key, defect):
+        # (3, 1) is neither D4's first A_ij = -1 pair nor the reverse of it,
+        # so no group shares its evaluation with a correct node pair
+        ctx = ctx_for("D", 4)
+        ope = ctx.contract(ctx.spec(*key[:2]), ctx.spec(*key[2:]))
+        if defect == "kernel":
+            bad = dataclasses.replace(ope, kernel=ope.kernel.scale(1 + 1e-6))
+        else:
+            bad = dataclasses.replace(ope, coeff=ope.coeff * (1 + 1e-6))
+        defective(monkeypatch, key, bad)
+        (res,) = run_suite(ctx, [row]).results
+        assert not res.passed and res.max_residual > 1e-8
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_zero_reversed_contraction_is_skipped(self, monkeypatch):
+        ctx = ctx_for("A", 2)
+        ope = ctx.contract(ctx.spec("E", 1), ctx.spec("E", 0))
+        defective(monkeypatch, ("E", 1, "E", 0), dataclasses.replace(ope, coeff=0j))
+        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        # node pair (0, 1) reads it reversed and skips all 16 samples
+        assert out["skipped"] == 16 and out["n_samples"] == 64
+        assert np.isfinite(out["max_residual"])
 
     def test_series_exp_runs_once_per_cartan_class(self, monkeypatch):
         # D4's 16 ordered node pairs fall into the classes A_ij = 2, -1, 0
@@ -414,22 +494,30 @@ class TestSeriesCaches:
 
             monkeypatch.setattr(currents, name, counted)
         _node_free_part.cache_clear()
+        keys = set()
+        contract = VerifierContext.contract
+
+        def recorded(ctx, sx, sy):
+            keys.add((sx.kind, sx.node, sy.kind, sy.node))
+            return contract(ctx, sx, sy)
+
+        monkeypatch.setattr(VerifierContext, "contract", recorded)
         ctx = ctx_for("D", 4)
         (res,) = run_suite(ctx, ["Eq19"]).results
         assert res.passed and res.n_samples == 16 * 16
-        assert len(ctx._contract_cache) == 16
+        assert len(keys) == 16
         assert calls == {"series_exp": 3, "zero_mode_reorder": 3}
 
-    def test_a_zero_mode_defect_in_one_node_pair_is_not_hidden(self):
-        # the zero-mode monomial is shared by a Cartan class, but a cached
-        # contraction is per node pair: an error of 1e-6 in one node pair's
+    def test_a_zero_mode_defect_in_one_node_pair_is_not_hidden(self, monkeypatch):
+        # the zero-mode monomial is shared by a Cartan class, but contractions
+        # are grouped by value: an error of 1e-6 in one node pair's
         # coefficient, not the first of its class, fails the check
         ctx = ctx_for("D", 4)
         pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
         i, j = pairs[1]
         ope = ctx.contract(ctx.spec("E", i), ctx.spec("E", j))
         bad = dataclasses.replace(ope, coeff=ope.coeff * (1 + 1e-6))
-        ctx._contract_cache[("E", i, "E", j)] = bad
+        defective(monkeypatch, ("E", i, "E", j), bad)
         (res,) = run_suite(ctx, ["Eq19"]).results
         assert not res.passed and res.max_residual > 1e-8
 
