@@ -17,14 +17,7 @@ from .currents import (
     current_spec,
     zero_modes,
 )
-from .fock import (
-    FockBasisState,
-    FockSpace,
-    ModeMatrix,
-    ModeWindowError,
-    enumerate_sector,
-    sector_dimension,
-)
+from .fock import FockSpace, sector_dimension
 from .heisenberg import (
     ModeBracketTable,
     contraction_log_coeff,
@@ -63,12 +56,9 @@ __all__ = [
     "DeltaComb",
     "DeltaCombError",
     "ERRATA",
-    "FockBasisState",
     "FockSpace",
     "LaurentSeries",
     "ModeBracketTable",
-    "ModeMatrix",
-    "ModeWindowError",
     "OpeResult",
     "RelationResult",
     "VerificationReport",
@@ -79,7 +69,6 @@ __all__ = [
     "contraction_log_coeff",
     "current_spec",
     "delta_extract",
-    "enumerate_sector",
     "make_cartan",
     "make_params",
     "osc_coeff",

@@ -17,6 +17,13 @@ g - n - off.  Complete-mode contract: with caps (src_cap, tgt_cap) a mode is
 returned iff its degree shift is at most tgt_cap - src_cap, and then with its
 exact block for every source degree up to src_cap; no returned mode is
 truncated.
+
+Composed products are built by application on output columns.  The
+commutator check stacks the blocks of F's window modes per target degree
+and applies E to those columns alone, and F to E's the same way; 0/1
+column selectors then read E[m] F[n] off through blocks_compose.  The
+second current never acts on the whole middle sector, and its modes are
+not cached.
 """
 
 from __future__ import annotations
@@ -33,16 +40,6 @@ from .heisenberg import ModeBracketTable, osc_coeff
 
 State = tuple[tuple[int, ...], ...]  # one descending partition per node
 Blocks = dict[int, tuple[int, np.ndarray]]  # src_deg -> (tgt_deg, matrix)
-
-
-@dataclass(frozen=True)
-class FockBasisState:
-    momentum: tuple[int, ...]
-    oscillators: State
-
-    @property
-    def degree(self) -> int:
-        return sum(sum(part) for part in self.oscillators)
 
 
 @lru_cache(maxsize=None)
@@ -75,14 +72,6 @@ def _state_index(rank: int, degree: int) -> dict[State, int]:
 
 
 @lru_cache(maxsize=None)
-def _degree_starts(rank: int, cap: int) -> tuple[int, ...]:
-    starts = [0]
-    for d in range(cap + 1):
-        starts.append(starts[-1] + len(states_of_degree(rank, d)))
-    return tuple(starts)
-
-
-@lru_cache(maxsize=None)
 def _raise_map(rank: int, node: int, m: int, degree: int) -> np.ndarray:
     """a_node[-m] as an index map: position at `degree` -> position at `degree + m`."""
     index = _state_index(rank, degree + m)
@@ -93,17 +82,6 @@ def _raise_map(rank: int, node: int, m: int, degree: int) -> np.ndarray:
         ],
         dtype=np.intp,
     )
-
-
-def enumerate_sector(lam, cap: int) -> list[FockBasisState]:
-    """Ordered basis of a sector: by degree 0..cap, deterministic within."""
-    lam = tuple(int(x) for x in lam)
-    if cap < 0:
-        raise ValueError("degree cap must be nonnegative")
-    out = []
-    for d in range(cap + 1):
-        out.extend(FockBasisState(lam, s) for s in states_of_degree(len(lam), d))
-    return out
 
 
 def sector_dimension(rank: int, cap: int) -> int:
@@ -142,6 +120,28 @@ def blocks_max_abs(b: Blocks) -> float:
     return max((float(np.max(np.abs(m))) for _, m in b.values()), default=0.0)
 
 
+def _stack_outputs(modes: dict[int, Blocks], window: int):
+    """Output columns of the modes |n| <= window, stacked per target degree.
+
+    Returns (cols, selectors): cols[t] holds, mode by mode, every block that
+    lands at degree t, and selectors[n][g] = (t, S) with S the 0/1 matrix
+    that picks modes[n]'s block at source degree g out of cols[t].  So for
+    Y acting on cols, blocks_compose(Y, selectors[n]) is Y modes[n].
+    """
+    groups: dict[int, list] = {}
+    for n in range(-window, window + 1):
+        for g, (t, block) in modes.get(n, {}).items():
+            groups.setdefault(t, []).append((n, g, block))
+    cols, selectors = {}, {}
+    for t in sorted(groups):
+        cols[t] = np.hstack([block for *_, block in groups[t]])
+        pick, col = np.eye(cols[t].shape[1]), 0
+        for n, g, block in groups[t]:
+            selectors.setdefault(n, {})[g] = (t, pick[:, col : col + block.shape[1]])
+            col += block.shape[1]
+    return cols, selectors
+
+
 def _accumulate(store: dict, key, col: int, x: np.ndarray) -> None:
     """store[key] += x over source columns col..; values are (col, matrix, owned).
 
@@ -165,22 +165,6 @@ def _accumulate(store: dict, key, col: int, x: np.ndarray) -> None:
 # hold rounding noise only (on A1/A2, caps <= 3: noise near 1e-17 of the
 # maximum, all other rows above 1e-4), so they are divided by the floor.
 SCALE_FLOOR = 1e-6
-
-
-class ModeWindowError(ValueError):
-    """Requested mode falls outside the exactly-computable window."""
-
-
-@dataclass
-class ModeMatrix:
-    spec: CurrentSpec
-    mode: int
-    source_sector: tuple[int, ...]
-    target_sector: tuple[int, ...]
-    sector_offset: int  # zero-mode z-power on the source sector
-    entries: np.ndarray  # dense, target basis x source basis
-    source_basis: list[FockBasisState]
-    target_basis: list[FockBasisState]
 
 
 class FockSpace:
@@ -268,13 +252,16 @@ class FockSpace:
             parts.append((col, h))
             yield k, col, h
 
-    def _apply(self, specs_vars, lam, src_cap: int, tgt_cap: int):
+    def _apply(self, specs_vars, lam, src_cap: int, tgt_cap: int, cols=None):
         """Normal-ordered product of one or two currents (variables z, w) on sector lam.
 
         Returns (target_sector, offsets, modes), modes mapping a tuple of mode
         indices, one per variable, to the Blocks of a complete mode.  Terms
         are keyed by (z-power, degree) over source columns; for a pair the
         w-power is read off at the end as target - source degree - z-power.
+        ``cols`` maps source degrees up to src_cap to the columns the product
+        acts on; by default every degree's identity, so that each block is
+        the mode's matrix.
         """
         lam = tuple(int(x) for x in lam)
         n_vars = 1 + max(var for _, var in specs_vars)
@@ -286,17 +273,17 @@ class FockSpace:
             scalar *= s
             off[var] += o
             tgt[spec.node] += charge
+        if cols is None:
+            cols = {d: np.eye(len(states_of_degree(self.rank, d))) for d in range(src_cap + 1)}
+        widths = (cols[d].shape[1] if d in cols else 0 for d in range(src_cap + 1))
+        starts = list(itertools.accumulate(widths, initial=0))
         span = tgt_cap - src_cap
-        starts = _degree_starts(self.rank, src_cap)
 
         def first_col(t: int) -> int:  # blocks reaching degree t start at source degree t - span
             return starts[min(max(t - span, 0), src_cap + 1)]
 
-        # all source degrees at once, as the columns of one graded identity
-        terms = {
-            (0, d): (starts[d], scalar * np.eye(starts[d + 1] - starts[d]), False)
-            for d in range(src_cap + 1)
-        }
+        # all source degrees at once, as the columns of one graded matrix
+        terms = {(0, d): (starts[d], scalar * x, False) for d, x in cols.items()}
         legs = self._merged_legs(specs_vars)
         for sign in (-1, 1):  # annihilators act first, then creators
             trim = first_col if sign > 0 else None
@@ -339,37 +326,6 @@ class FockSpace:
 
     # -- public operations -------------------------------------------------------
 
-    def current_mode_matrix(self, spec: CurrentSpec, n: int, lam, cap: int) -> ModeMatrix:
-        """Exact matrix of X[n] between degree-capped sector bases."""
-        lam = tuple(int(x) for x in lam)
-        _, offset, _ = self._zero_mode(spec, lam)
-        lo, hi = -cap - offset, cap - offset
-        if not lo <= n <= hi:
-            raise ModeWindowError(
-                f"mode {n} outside the exact window [{lo}, {hi}] at cap {cap} "
-                f"(sector offset {offset})"
-            )
-        tgt, _, modes = self.sector_modes(spec, lam, cap, cap + max(0, -n - offset))
-        src_basis = enumerate_sector(lam, cap)
-        tgt_basis = enumerate_sector(tgt, cap)
-        starts = _degree_starts(self.rank, cap)
-        mat = np.zeros((len(tgt_basis), len(src_basis)), dtype=complex)
-        for src_deg, (tgt_deg, block) in modes.get(n, {}).items():
-            if tgt_deg > cap:
-                continue
-            r0, c0 = starts[tgt_deg], starts[src_deg]
-            mat[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        return ModeMatrix(
-            spec=spec,
-            mode=n,
-            source_sector=lam,
-            target_sector=tgt,
-            sector_offset=offset,
-            entries=mat,
-            source_basis=src_basis,
-            target_basis=tgt_basis,
-        )
-
     def commutator_check(
         self,
         spec_a: CurrentSpec,
@@ -378,7 +334,7 @@ class FockSpace:
         cap: int,
         window: int,
     ) -> "CommutatorReport":
-        """Entry-wise residuals of the E/F commutation relation on mode matrices.
+        """Entry-wise residuals of the E/F commutation relation on mode blocks.
 
         i = j: [E[m], F[n]] is compared against
         (q^{(m-n)/2} Hp[m+n-2] - (q/p)^{(m-n)/2} Hm[m+n-2]) / (p - 1).
@@ -400,15 +356,22 @@ class FockSpace:
             tgt_cap = max(src_cap + reach - self._zero_mode(spec, sector)[1], 0)
             return tgt_cap, self.sector_modes(spec, sector, src_cap, tgt_cap)[2]
 
+        def applied(spec, sector, src_cap, inner):
+            """X[m], |m| <= W, on the output columns of inner's window modes; uncached."""
+            cols, selectors = _stack_outputs(inner, window)
+            tgt_cap = max(src_cap + window - self._zero_mode(spec, sector)[1], 0)
+            modes = self._apply([(spec, 0)], sector, src_cap, tgt_cap, cols)[2]
+            return {m: modes.get((m,), {}) for m in range(-window, window + 1)}, selectors
+
         rows, vacuous = [], 0
         for lam in sectors:
             lam = tuple(int(x) for x in lam)
             lam_e = tuple(int(x) for x in np.asarray(lam) - alpha_j)  # E acts after F
             lam_f = tuple(int(x) for x in np.asarray(lam) + alpha_i)  # F acts after E
             top_f, f_modes = complete(spec_b, lam, cap, window)
-            _, e_mid = complete(spec_a, lam_e, top_f, window)
             top_e, e_modes = complete(spec_a, lam, cap, window)
-            _, f_mid = complete(spec_b, lam_f, top_e, window)
+            e_on_f, f_sel = applied(spec_a, lam_e, top_f, f_modes)
+            f_on_e, e_sel = applied(spec_b, lam_f, top_e, e_modes)
             if i == j:  # H[m + n - 2] reaches mode -2W - 2
                 hp = current_spec("H+", i, self.rank, params)
                 hm = current_spec("H-", i, self.rank, params)
@@ -421,8 +384,8 @@ class FockSpace:
             sector_rows = []
             for m in range(-window, window + 1):
                 for n in range(-window, window + 1):
-                    ef = blocks_compose(e_mid.get(m, {}), f_modes.get(n, {}))
-                    fe = blocks_compose(f_mid.get(n, {}), e_modes.get(m, {}))
+                    ef = blocks_compose(e_on_f[m], f_sel.get(n, {}))
+                    fe = blocks_compose(f_on_e[n], e_sel.get(m, {}))
                     if i == j:
                         w_p = qh ** (m - n) / (params.p - 1)
                         w_m = -((1 / pqh) ** (m - n)) / (params.p - 1)

@@ -139,10 +139,10 @@ class VerifierContext:
         g = g_fn(self, 1.0 + 0j, x, a_ij, **dict(kw))
         return g, self._below_floor
 
-    def exchange_ratio(self, spec_x: CurrentSpec, spec_y: CurrentSpec, x):
+    def exchange_ratio(self, ope_xy: OpeResult, ope_yx: OpeResult, x):
         """C_XY(1, x) / C_YX(x, 1), and the mask of the points too close to a pole."""
-        vxy, c1 = self.contract(spec_x, spec_y).evaluate(1.0, x)
-        vyx, c2 = self.contract(spec_y, spec_x).evaluate(x, 1.0)
+        vxy, c1 = ope_xy.evaluate(1.0, x)
+        vyx, c2 = ope_yx.evaluate(x, 1.0)
         return vxy / vyx, (np.minimum(c1, c2) < self.pole_floor) | (vyx == 0)
 
     def circle_samples(self) -> np.ndarray:
@@ -393,17 +393,17 @@ def _outcome(residuals, n, skipped, tol, notes="", vacuous=False, compared=None)
 def _by_contraction(ctx, kind_x, kind_y, nodes):
     """The node pairs grouped by the value of their contractions X Y and Y X.
 
-    Returns ((spec_x, spec_y, a_ij), count) per group, with the group's first
-    node pair.  Node pairs share a group iff A_ij and both contractions'
-    coeff, z_exp and kernel are equal, so a defect in one node pair's
-    contraction puts it in a group of its own.
+    Returns ((ope_xy, ope_yx, a_ij), count) per group, with the contractions
+    of the group's first node pair.  Node pairs share a group iff A_ij and
+    both contractions' coeff, z_exp and kernel are equal, so a defect in one
+    node pair's contraction puts it in a group of its own.
     """
     groups: dict = {}
     for i, j, a_ij in nodes:
         sx, sy = ctx.spec(kind_x, i), ctx.spec(kind_y, j)
         opes = ctx.contract(sx, sy), ctx.contract(sy, sx)
         key = (a_ij, *((o.coeff, o.z_exp, o.kernel) for o in opes))
-        first, n = groups.get(key, ((sx, sy, a_ij), 0))
+        first, n = groups.get(key, ((*opes, a_ij), 0))
         groups[key] = (first, n + 1)
     return list(groups.values())
 
@@ -423,8 +423,8 @@ def _exchange_driver(ctx, pairs, g_fn, kw=(), a_filter=None):
     xs = ctx.circle_samples()
     residuals, skipped, compared = [], 0, [0] * len(pairs)
     for k, (kind_x, kind_y) in enumerate(pairs):
-        for (sx, sy, a_ij), n in _by_contraction(ctx, kind_x, kind_y, nodes):
-            r, skip = ctx.exchange_ratio(sx, sy, xs)
+        for (ope_xy, ope_yx, a_ij), n in _by_contraction(ctx, kind_x, kind_y, nodes):
+            r, skip = ctx.exchange_ratio(ope_xy, ope_yx, xs)
             g, low = ctx.structure_function(g_fn, xs, a_ij, kw)
             keep = ~(skip | low)
             residuals.append((np.abs(r - g) / np.maximum(np.abs(r), np.abs(g)))[keep])
@@ -444,8 +444,8 @@ def _closed_form_driver(ctx, kind_x, kind_y, a_class):
     xs = ctx.circle_samples()
     want = closed_form(kind_x, kind_y, a_class, ctx.params)(1.0 + 0j, xs)
     residuals, skipped, compared = [], 0, 0
-    for (sx, sy, _), n in _by_contraction(ctx, kind_x, kind_y, nodes):
-        v, closest = ctx.contract(sx, sy).evaluate(1.0, xs)
+    for (ope_xy, _, _), n in _by_contraction(ctx, kind_x, kind_y, nodes):
+        v, closest = ope_xy.evaluate(1.0, xs)
         skip = closest < ctx.pole_floor
         residuals.append((np.abs(v - want) / np.maximum(np.abs(v), np.abs(want)))[~skip])
         skipped += n * int(np.count_nonzero(skip))
@@ -684,7 +684,7 @@ def _structure_driver(ctx, which: str):
         def psi_engine_e(x, a_ij):
             sx = ctx.spec("E", i)
             sy = ctx.spec("E", i if a_ij == 2 else j)
-            r, skip = ctx.exchange_ratio(sx, sy, x)
+            r, skip = ctx.exchange_ratio(ctx.contract(sx, sy), ctx.contract(sy, sx), x)
             if skip:
                 raise SkipSample("contraction product too close to a pole")
             return r

@@ -5,7 +5,9 @@ Each source basis state is expanded into a dict of terms keyed by
 creators one state at a time with the bracket table, then the creation
 exponentials add every partition up to the target degree cap.  It is slow
 but shares no block algebra with ``screenalg.fock``, so the graded-block
-engine is compared against it entry by entry.
+engine is compared against it entry by entry.  ``composed_commutator`` is
+the commutator check by whole-sector mode blocks, the oracle for the check's
+application to output columns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ import math
 
 import numpy as np
 
-from screenalg.fock import FockSpace, _partitions, _state_index, states_of_degree
+from screenalg import current_spec
+from screenalg.fock import (
+    SCALE_FLOOR,
+    FockSpace,
+    _partitions,
+    _state_index,
+    blocks_compose,
+    blocks_linear,
+    blocks_max_abs,
+    states_of_degree,
+)
 
 State = tuple[tuple[int, ...], ...]  # one descending partition per node
 Key = tuple[State, int, int]  # (oscillators, z-power, w-power)
@@ -144,3 +156,59 @@ def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: in
                 _, mat = block_map[src_deg]
                 mat[_state_index(rank, tdeg)[state], col] += coeff
     return tuple(tgt), tuple(off), modes
+
+
+def composed_commutator(space: FockSpace, spec_e, spec_f, lam, cap: int, window: int):
+    """Rows and vacuous count of ``commutator_check`` on one sector, from whole-sector blocks.
+
+    E F and F E are composed from complete mode blocks of the second current
+    over every source degree of the middle sector, ``blocks_compose(E[m],
+    F[n])``, instead of applying the second current to the first one's
+    output columns.  The right-hand sides and the noise floor follow the
+    check's own definitions.
+    """
+    i, j = spec_e.node, spec_f.node
+    params, a_ij = space.params, space.cartan[i, j]
+    unit = np.eye(space.rank, dtype=int)
+    lam = tuple(int(x) for x in lam)
+    lam_e = tuple(int(x) for x in np.asarray(lam) - unit[j])
+    lam_f = tuple(int(x) for x in np.asarray(lam) + unit[i])
+
+    def complete(spec, sector, src_cap, reach):
+        tgt_cap = max(src_cap + reach - space._zero_mode(spec, sector)[1], 0)
+        return tgt_cap, space.sector_modes(spec, sector, src_cap, tgt_cap)[2]
+
+    top_f, f_modes = complete(spec_f, lam, cap, window)
+    _, e_mid = complete(spec_e, lam_e, top_f, window)
+    top_e, e_modes = complete(spec_e, lam, cap, window)
+    _, f_mid = complete(spec_f, lam_f, top_e, window)
+    qh, pqh = params.q_half, params.pq_half
+    if i == j:
+        hp, hm = (current_spec(k, i, space.rank, params) for k in ("H+", "H-"))
+        _, hp_modes = complete(hp, lam, cap, 2 * window + 2)
+        _, hm_modes = complete(hm, lam, cap, 2 * window + 2)
+    elif a_ij == -1:
+        offs = space._zero_mode(spec_e, lam)[1] + space._zero_mode(spec_f, lam)[1]
+        tgt_cap = max(cap + 2 * window - 1 - offs, 0)
+        b_modes = space.pair_modes(spec_e, spec_f, lam, cap, tgt_cap)[2]
+    rows = []
+    for m in range(-window, window + 1):
+        for n in range(-window, window + 1):
+            ef = blocks_compose(e_mid.get(m, {}), f_modes.get(n, {}))
+            fe = blocks_compose(f_mid.get(n, {}), e_modes.get(m, {}))
+            parts = []
+            if i == j:
+                w_p = qh ** (m - n) / (params.p - 1)
+                w_m = -((1 / pqh) ** (m - n)) / (params.p - 1)
+                h = m + n - 2
+                parts = [(w_p, hp_modes.get(h, {})), (w_m, hm_modes.get(h, {}))]
+            elif a_ij == -1:
+                b1, b2 = b_modes.get((m + 1, n), {}), b_modes.get((m, n + 1), {})
+                parts = [(2 * pqh, b1), (-2 * qh, b2)]
+            rhs = blocks_linear(parts)
+            diff = blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
+            scale = max(blocks_max_abs(ef), blocks_max_abs(fe), blocks_max_abs(rhs))
+            rows.append(((lam, m, n), blocks_max_abs(diff), scale))
+    floor = SCALE_FLOOR * max(s for *_, s in rows)
+    residuals = [(w, err / max(scale, floor) if err else 0.0, scale) for w, err, scale in rows]
+    return residuals, sum(scale <= floor for *_, scale in rows)

@@ -176,6 +176,13 @@ class TestCommutatorDriver:
         rep = run_suite(ctx_for("A", 2), relation_filter=["Eq21", "Eq47"])
         assert [(r.n_samples, r.skipped, r.passed) for r in rep.results] == [(174, 22, True)] * 2
 
+    def test_a3_default_fock_route_passes(self):
+        # 9 node pairs x 49 rows at cap 3, window 3; the same counts as by
+        # whole-sector composition
+        (res,) = run_suite(ctx_for("A", 3), relation_filter=["Eq21"]).results
+        assert (res.n_samples, res.skipped, res.passed) == (386, 55, True)
+        assert res.max_residual < 1e-13
+
     def test_two_route_agreement(self):
         ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
         out = _commutator_driver(ctx)
@@ -266,9 +273,9 @@ class TestAliases:
     def test_hh_row_fails_when_one_kind_pair_skips_every_sample(self, monkeypatch):
         ratio = VerifierContext.exchange_ratio
 
-        def skip_hmhm(ctx, sx, sy, x):
-            r, skip = ratio(ctx, sx, sy, x)
-            if sx.kind == sy.kind == "H-":
+        def skip_hmhm(ctx, ope_xy, ope_yx, x):
+            r, skip = ratio(ctx, ope_xy, ope_yx, x)
+            if ope_xy.spec_x.kind == ope_xy.spec_y.kind == "H-":
                 skip = np.ones_like(skip)  # every H-H- sample skipped
             return r, skip
 
