@@ -140,7 +140,8 @@ class ContractionKernel:
         for g in self.groups:
             lat = _den_lattice(g.dens, tol)
             for sigma, mu in g.terms:
-                f = 1 - (x * mu)[..., None] * lat
+                f = (x * mu)[..., None] * lat
+                np.subtract(1, f, out=f)  # in place: one points x lattice array less
                 am = np.abs(f).min(-1)
                 if (am == 0.0).any():
                     raise ZeroDivisionError("contraction product hit an exact pole/zero")

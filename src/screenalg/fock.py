@@ -406,6 +406,13 @@ class FockSpace:
             for where, err, scale in sector_rows:
                 vacuous += scale <= floor
                 rows.append((where, err / max(scale, floor) if err else 0.0, scale))
+        # H±_i's modes and the :E_i F_j: pair modes are read by this node pair
+        # only; E and F modes stay cached for the other node pairs
+        for key in [
+            k for k in self._modes_cache
+            if k[:2] in (("H+", i), ("H-", i)) or k[:5] == ("pair", "E", i, "F", j)
+        ]:
+            del self._modes_cache[key]
         max_res = max((r for _, r, _ in rows), default=0.0)
         return CommutatorReport(
             node_i=i,

@@ -20,37 +20,49 @@ from typing import Sequence
 import numpy as np
 
 
+def _power_table(a, order: int) -> np.ndarray:
+    """1, a, a^2, ..., a^(order-1) along a new last axis; ``a`` may be an array."""
+    out = np.empty(np.shape(a) + (max(order, 0),), dtype=complex)
+    out[...] = np.asarray(a)[..., None]
+    out[..., :1] = 1.0
+    return np.cumprod(out, axis=-1)
+
+
 @lru_cache(maxsize=256)
 def _powers(a: complex, order: int) -> np.ndarray:
-    """1, a, a^2, ..., a^(order-1), read-only; shared by every product in base a."""
-    out = np.full(max(order, 0), a, dtype=complex)
-    out[:1] = 1.0
-    out = np.cumprod(out)
+    """The power table of a scalar base, read-only; shared by every product in base a."""
+    out = _power_table(a, order)
     out.flags.writeable = False
     return out
 
 
-def qpochhammer(x, a: complex, order: int):
+def qpochhammer(x, a, order: int):
     """Truncated q-Pochhammer product prod_{n=0}^{order-1} (1 - x a^n).
 
-    Truncation error against the infinite product is O(|x| |a|^order).  The
-    powers of a are cached per (a, order), and one ``np.multiply.reduce``
-    takes the product of the factors.  ``x`` may be an array: the product
-    is then taken per element; a scalar ``x`` gives a complex.
+    Truncation error against the infinite product is O(|x| |a|^order).  One
+    ``np.multiply.reduce`` takes the product of the factors.  ``x`` and the
+    base ``a`` may be arrays, broadcast against each other: the product is
+    then taken per element; scalars give a complex.  The powers of a scalar
+    base are cached per (a, order); an array base gets its own table.
     """
-    if abs(a) >= 1:
-        raise ValueError(f"|a| = {abs(a):.6g} violates |a| < 1")
+    array_base = isinstance(a, np.ndarray)
+    largest = np.abs(a).max(initial=0.0) if array_base else abs(a)
+    if largest >= 1:
+        raise ValueError(f"|a| = {largest:.6g} violates |a| < 1")
+    powers = _power_table(a, order) if array_base else _powers(a, order)
     if isinstance(x, np.ndarray):
-        return np.multiply.reduce(1.0 - x[..., None] * _powers(a, order), axis=-1)
-    return complex(np.multiply.reduce(1.0 - x * _powers(a, order)))
+        x = x[..., None]
+    out = np.multiply.reduce(1.0 - x * powers, axis=-1)
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
-def theta(x, a: complex, order: int = 80):
+def theta(x, a, order: int = 80):
     """Triple-product theta: (x|a)_inf (a/x|a)_inf (a|a)_inf, truncated.
 
     Elliptic with multiplicative periods a and e^{2 pi i}; satisfies
     theta(a x) = -theta(x)/x.  Zeros exactly at x = a^k, k in Z.  Per
-    element for an array ``x``, like :func:`qpochhammer`.
+    element for an array ``x`` or an array base ``a``, broadcast against
+    each other, like :func:`qpochhammer`.
     """
     if np.count_nonzero(x == 0):
         raise ValueError("theta undefined at x = 0 (a/x factor)")

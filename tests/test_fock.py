@@ -156,6 +156,17 @@ class TestCommutator:
         assert rep.vacuous == len(rep.residuals) == 25
         assert rep.max_residual == 0.0
 
+    def test_node_pair_modes_are_dropped_after_their_check(self):
+        # H+-_i and :E_i F_j: are read by node pair (i, j) alone; E and F
+        # modes are read by the other node pairs too and stay cached
+        fs = FockSpace(A2, PR)
+        for i, j, a_ij in A2.node_pairs():
+            e_i, f_j = current_spec("E", i, 2, PR), current_spec("F", j, 2, PR)
+            rep = fs.commutator_check(e_i, f_j, [(0, 0)], 3, 3)
+            assert rep.max_residual < 1e-8
+            kinds = {key[0] for key in fs._modes_cache}
+            assert kinds == {"E", "F"}, (i, j, a_ij, kinds)
+
     def test_kind_pair_enforced(self):
         fs = FockSpace(A1, PR)
         e0 = current_spec("E", 0, 1, PR)
