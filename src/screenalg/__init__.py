@@ -36,14 +36,14 @@ from .qlaurent import (
 from .verifier import (
     CATALOGUE_NAMES,
     ERRATA,
+    G_TABLE,
     RelationResult,
     VerificationReport,
     VerifierContext,
     build_catalogue,
-    phi,
-    psi,
     run_suite,
     serre_coefficient,
+    theta_quotient,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ __all__ = [
     "DeltaCombError",
     "ERRATA",
     "FockSpace",
+    "G_TABLE",
     "LaurentSeries",
     "ModeBracketTable",
     "OpeResult",
@@ -72,14 +73,13 @@ __all__ = [
     "make_cartan",
     "make_params",
     "osc_coeff",
-    "phi",
-    "psi",
     "qpochhammer",
     "run_suite",
     "sector_dimension",
     "serre_coefficient",
     "series_exp",
     "theta",
+    "theta_quotient",
     "zero_mode_reorder",
     "zero_modes",
 ]

@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("sample radius must be positive")
         if not 0 < self.tol:
             raise ValueError("series tolerance must be positive")
+        if not 0 < self.tol_fock:
+            raise ValueError("Fock tolerance must be positive")
         return m.group(1).upper(), int(m.group(2))
 
 

@@ -79,10 +79,10 @@ def _check_theta_order(params: DeformationParams, order: int, tol: float):
 class VerifierContext:
     """Shared configuration for one verification run.
 
-    ``exchange_ratio`` and ``structure_function`` take an array of points
-    w/z and return a value per point and a boolean mask of the points to
-    skip: a theta factor below ``theta_floor``, a contraction factor below
-    ``pole_floor``, or a reversed contraction of exactly 0.  No value is
+    ``exchange_ratio`` and ``theta_g`` take an array of points w/z and
+    return a value per point and a boolean mask of the points to skip: a
+    contraction factor below ``pole_floor`` or a reversed contraction of
+    exactly 0, and a theta factor below ``theta_floor``.  No value is
     cached per sample.  ``_results`` holds each catalogue row's result by
     (driver, args), so rows that make the same computation share one run.
 
@@ -107,7 +107,6 @@ class VerifierContext:
     _fock: FockSpace | None = None
     _results: dict = field(default_factory=dict)
     _circle: np.ndarray | None = None
-    _below_floor: np.ndarray | bool = False
 
     def __post_init__(self):
         _check_theta_order(self.params, self.order, self.tol_series)
@@ -124,17 +123,9 @@ class VerifierContext:
     def contract(self, spec_x: CurrentSpec, spec_y: CurrentSpec) -> OpeResult:
         return contract(spec_x, spec_y, self.cartan, self.params, self.order)
 
-    def theta_g(self, x, a: complex):
-        """theta(x, a) at this run's order; marks the points below ``theta_floor``."""
-        v = theta(x, a, self.order)
-        self._below_floor = self._below_floor | (np.abs(v) < self.theta_floor)
-        return v
-
-    def structure_function(self, g_fn, x, a_ij: int, kw=()):
-        """G = ``g_fn(self, 1, x, a_ij, **dict(kw))``, and where a theta factor is below the floor."""
-        self._below_floor = np.zeros(np.shape(x), dtype=bool)
-        g = g_fn(self, 1.0 + 0j, x, a_ij, **dict(kw))
-        return g, self._below_floor
+    def theta_g(self, key: str, x, a_ij: int):
+        """:func:`theta_quotient` of row ``key`` at this run's params, order and theta_floor."""
+        return theta_quotient(key, x, a_ij, self.params, self.order, self.theta_floor)
 
     def exchange_ratio(self, ope_xy: OpeResult, ope_yx: OpeResult, x):
         """C_XY(1, x) / C_YX(x, 1), and the mask of the points too close to a pole."""
@@ -154,22 +145,63 @@ class VerifierContext:
 # structure functions
 
 
-def psi(x, a_ij: int, base: complex, params: DeformationParams, order: int = 80):
-    """Exchange factor (-1)^(A-1) x^-1 theta(x p^{A/2}) / theta(p^{A/2}/x), per element of x."""
-    pa = params.p_half**a_ij
-    return (
-        (-1.0) ** (a_ij - 1)
-        * x ** (-1.0)
-        * theta(x * pa, base, order)
-        / theta(pa / x, base, order)
-    )
+def _half_power(base: complex, half_exponent) -> complex:
+    """base^(half_exponent/2); integer half-exponents stay branch-coherent."""
+    f = float(half_exponent)
+    if f.is_integer():
+        return cmath.sqrt(base) ** int(f)
+    return base ** (f / 2.0)
 
 
-def phi(x, a_ij: int, base: complex, base_half: complex, params: DeformationParams, order: int = 80):
-    """Factorizing component theta_base(x p^{A/2}) / theta_base(x base^{A/2}), per element of x."""
-    return theta(x * params.p_half**a_ij, base, order) / theta(
-        x * base_half**a_ij, base, order
-    )
+# The structure functions G(x), x = w/z, as data; the sign conventions carry
+# the corrections listed in ERRATA.  A row ((s0, sa), (k0, kb), m, num, den) is
+#   G(x) = (-1)^(s0 + sa A_ij) (x m)^(k0 + A_ij (1 - beta^kb)) prod_num / prod_den
+# over its theta factors (b, e, *s), each theta_b(x^e s) with e = +-1.  The
+# monomials m and s are products of terms (g, u, v), each g^((u A_ij + v c)/2);
+# bases and generators name DeformationParams attributes.  psi is EE (base q)
+# or FF-qt (base qtilde), and phi is phi or phi-qt.
+_PA = ("p", 1, 0)  # p^{A_ij/2}
+G_TABLE = {
+    "SpSp": ((-1, 1), (-1, 1), (), (("q", 1, _PA),), (("q", -1, _PA),)),
+    "SmSm": ((-1, 1), (-1, -1), (), (("pq", 1, _PA),), (("pq", -1, _PA),)),
+    "EE": ((-1, 1), (-1, 0), (), (("q", 1, _PA),), (("q", -1, _PA),)),
+    "FF": ((-1, 1), (-1, 0), (), (("pq", 1, _PA),), (("pq", -1, _PA),)),
+    "FF-qt": ((-1, 1), (-1, 0), (), (("qtilde", 1, _PA),), (("qtilde", -1, _PA),)),
+    "HH": ((0, 0), (-2, 0), (),
+           (("q", 1, _PA), ("qtilde", 1, _PA)), (("q", -1, _PA), ("qtilde", -1, _PA))),
+    "HpHm": ((0, 0), (-2, 0), (),
+             (("q", 1, ("p", 1, -1)), ("qtilde", 1, ("p", 1, 1))),
+             (("q", -1, ("p", 1, 1)), ("qtilde", -1, ("p", 1, -1)))),
+    "HpE": ((1, 0), (-1, 0), (("q", 0, -1),),
+            (("q", 1, _PA, ("q", 0, -1)),), (("q", -1, _PA, ("q", 0, 1)),)),
+    "HmE": ((1, 0), (-1, 0), (("qtilde", 0, 1),),
+            (("q", 1, _PA, ("qtilde", 0, 1)),), (("q", -1, _PA, ("qtilde", 0, -1)),)),
+    "HpF": ((1, 0), (-1, 0), (("q", 0, 1),),
+            (("qtilde", 1, _PA, ("q", 0, 1)),), (("qtilde", -1, _PA, ("q", 0, -1)),)),
+    "HmF": ((1, 0), (-1, 0), (("qtilde", 0, -1),),
+            (("qtilde", 1, _PA, ("qtilde", 0, -1)),), (("qtilde", -1, _PA, ("qtilde", 0, 1)),)),
+    "phi": ((0, 0), (0, 0), (), (("q", 1, _PA),), (("q", 1, ("q", 1, 0)),)),
+    "phi-qt": ((0, 0), (0, 0), (), (("qtilde", 1, _PA),), (("qtilde", 1, ("qtilde", 1, 0)),)),
+}
+
+
+def theta_quotient(key: str, x, a_ij: int, params: DeformationParams, order: int, floor: float):
+    """Row ``key`` of G_TABLE per element of x, and where a theta factor is below ``floor``.
+
+    ``floor=0`` marks no point; the rows that apply no theta floor pass it.
+    """
+    (s0, sa), (k0, kb), m, num, den = G_TABLE[key]
+
+    def mono(terms):
+        return math.prod(_half_power(getattr(params, g), u * a_ij + v * params.c) for g, u, v in terms)
+
+    g = (-1.0) ** (s0 + sa * a_ij) * (x * mono(m)) ** (k0 + a_ij * (1 - params.beta**kb))
+    low = False
+    for k, (b, e, *s) in enumerate(num + den):
+        t = theta(x * mono(s) if e > 0 else mono(s) / x, getattr(params, b), order)
+        low = low | (np.abs(t) < floor)
+        g = g * t if k < len(num) else g / t
+    return g, low
 
 
 def serre_coefficient(z1, z2, w, psi_fn, floor: float = 1e-9):
@@ -188,118 +220,6 @@ def serre_coefficient(z1, z2, w, psi_fn, floor: float = 1e-9):
         low = abs(den) < floor * np.maximum(np.maximum(abs(pij2), abs(pii * pij1)), 1.0)
         f = (pii + 1) * (pij1 * pij2 + 1) / den
     return f, low | skip_ii | skip_1 | skip_2
-
-
-# exchange structure functions G(z, w) per relation; sign conventions carry
-# the corrections listed in ERRATA.
-
-
-def g_spsp(ctx: VerifierContext, z, w, a_ij):
-    x = w / z
-    b = ctx.params.beta
-    pa = ctx.params.p_half**a_ij
-    return (
-        (-1.0) ** (a_ij - 1)
-        * x ** (a_ij - a_ij * b - 1)
-        * ctx.theta_g(x * pa, ctx.params.q)
-        / ctx.theta_g(pa / x, ctx.params.q)
-    )
-
-
-def g_smsm(ctx, z, w, a_ij):
-    x = w / z
-    b = ctx.params.beta
-    pa = ctx.params.p_half**a_ij
-    pq = ctx.params.pq
-    return (
-        (-1.0) ** (a_ij - 1)
-        * x ** (a_ij - a_ij / b - 1)
-        * ctx.theta_g(x * pa, pq)
-        / ctx.theta_g(pa / x, pq)
-    )
-
-
-def g_ee(ctx, z, w, a_ij, base=None):
-    x = w / z
-    pa = ctx.params.p_half**a_ij
-    b = ctx.params.q if base is None else base
-    return (
-        (-1.0) ** (a_ij - 1) * x ** (-1.0) * ctx.theta_g(x * pa, b) / ctx.theta_g(pa / x, b)
-    )
-
-
-def g_ff(ctx, z, w, a_ij):
-    return g_ee(ctx, z, w, a_ij, base=ctx.params.pq)
-
-
-def g_ff_qt(ctx, z, w, a_ij):
-    """F-F exchange with theta base qtilde, as the general-c displays print it."""
-    return g_ee(ctx, z, w, a_ij, base=ctx.params.qtilde)
-
-
-def g_hh(ctx, z, w, a_ij):
-    x = w / z
-    pa = ctx.params.p_half**a_ij
-    qt = ctx.params.qtilde
-    return (
-        x ** (-2.0)
-        * ctx.theta_g(x * pa, ctx.params.q)
-        * ctx.theta_g(x * pa, qt)
-        / (ctx.theta_g(pa / x, ctx.params.q) * ctx.theta_g(pa / x, qt))
-    )
-
-
-def _half_power(base: complex, half_exponent) -> complex:
-    """base^(half_exponent/2); integer half-exponents stay branch-coherent."""
-    f = float(half_exponent)
-    if f.is_integer():
-        return cmath.sqrt(base) ** int(f)
-    return base ** (f / 2.0)
-
-
-def g_hphm(ctx, z, w, a_ij):
-    x = w / z
-    p = ctx.params
-    pm = _half_power(p.p, a_ij - p.c)  # p^{(A_ij - c)/2}
-    pp = _half_power(p.p, a_ij + p.c)  # p^{(A_ij + c)/2}
-    return (
-        x ** (-2.0)
-        * ctx.theta_g(x * pm, p.q)
-        * ctx.theta_g(x * pp, p.qtilde)
-        / (ctx.theta_g(pp / x, p.q) * ctx.theta_g(pm / x, p.qtilde))
-    )
-
-
-def g_he(ctx, z, w, a_ij, sign: int):
-    """H(sign) against E: uniform factor -1 (see ERRATA), theta base q."""
-    p = ctx.params
-    pa = p.p_half**a_ij
-    if sign > 0:
-        sc = _half_power(p.q, -p.c)  # q^{-c/2}
-    else:
-        sc = _half_power(p.qtilde, p.c)  # qtilde^{c/2}
-    x = w / z
-    return (
-        -((w * sc / z) ** (-1.0))
-        * ctx.theta_g(x * pa * sc, p.q)
-        / ctx.theta_g(pa / (sc * x), p.q)
-    )
-
-
-def g_hf(ctx, z, w, a_ij, sign: int):
-    """H(sign) against F: uniform factor -1, theta base qtilde."""
-    p = ctx.params
-    pa = p.p_half**a_ij
-    if sign > 0:
-        sc = _half_power(p.q, p.c)  # q^{c/2}
-    else:
-        sc = _half_power(p.qtilde, -p.c)  # qtilde^{-c/2}
-    x = w / z
-    return (
-        -((w * sc / z) ** (-1.0))
-        * ctx.theta_g(x * pa * sc, p.qtilde)
-        / ctx.theta_g(pa / (sc * x), p.qtilde)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +337,12 @@ def _by_contraction(ctx, kind_x, kind_y, nodes):
     return list(groups.values())
 
 
-def _exchange_driver(ctx, pairs, g_fn, kw=(), a_filter=None):
+def _exchange_driver(ctx, pairs, key, a_filter=None):
     """Ratio check of X(z) Y(w) = G(z,w) Y(w) X(z) over node pairs and samples.
 
     ``pairs`` holds the (kind_x, kind_y) current pairs the relation states
     (H+H+ and H-H- for the HH exchange); each must compare a sample.  G is
-    ``g_fn(ctx, z, w, a_ij, **dict(kw))``.  Node pairs whose contractions are
+    row ``key`` of G_TABLE.  Node pairs whose contractions are
     equal in both directions share one evaluation of R, G and the skip mask
     over the sample array; samples are counted per node pair.
     """
@@ -434,7 +354,7 @@ def _exchange_driver(ctx, pairs, g_fn, kw=(), a_filter=None):
     for k, (kind_x, kind_y) in enumerate(pairs):
         for (ope_xy, ope_yx, a_ij), n in _by_contraction(ctx, kind_x, kind_y, nodes):
             r, skip = ctx.exchange_ratio(ope_xy, ope_yx, xs)
-            g, low = ctx.structure_function(g_fn, xs, a_ij, kw)
+            g, low = ctx.theta_g(key, xs, a_ij)
             keep = ~(skip | low)
             residuals.append(_relative(r, g)[keep])
             skipped += n * int(np.count_nonzero(~keep))
@@ -542,12 +462,10 @@ def _serre_driver(ctx: VerifierContext, kind: str):
     adjacent = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
     if not adjacent:
         return _outcome([], 0, 0, tol, "no adjacent node pair in this algebra; vacuous", vacuous=True)
-    base = ctx.params.q if kind == "E" else ctx.params.qtilde
+    psi = "EE" if kind == "E" else "FF-qt"
+    psi_fn = partial(theta_quotient, psi, params=ctx.params, order=ctx.order, floor=0)
     rng = np.random.default_rng(ctx.seed)
     residuals, skipped, total = [], 0, 0
-
-    def psi_fn(x, a_ij):
-        return psi(x, a_ij, base, ctx.params, ctx.order), False
 
     sampled = adjacent[:2]  # the first two only, to stay cheap; named in the notes
     want, cap = ctx.serre_samples, 10 * ctx.serre_samples
@@ -666,9 +584,7 @@ def _structure_driver(ctx, which: str):
             parts = [ctx.exchange_ratio(*opes, x[s : s + k]) for s in range(0, len(x), k)]
             return tuple(map(np.concatenate, zip(*parts)))
 
-        def psi_printed_e(x, a_ij):
-            return psi(x, a_ij, p.q, p, ctx.order), False
-
+        psi_printed_e = partial(theta_quotient, "EE", params=p, order=ctx.order, floor=0)
         n = max(ctx.n_random // 4, 8)
         z1, z2, w = _draw_triples(rng, n)
         f_engine, skip = serre_coefficient(z1, z2, w, psi_engine_e)
@@ -684,15 +600,16 @@ def _structure_driver(ctx, which: str):
         for _ in range(ctx.n_random)
     ]).reshape(-1, 3).T
     xs, residuals, skipped = r * np.exp(1j * ph), [], 0
-    for a_ij, (base, bh) in itertools.product((2, -1, 0), ((p.q, p.q_half), (p.qtilde, p.qtilde_half))):
-        x, args = xs[a_all == a_ij], (a_ij, base, p, ctx.order)
+    for a_ij, (psi, phi) in itertools.product((2, -1, 0), (("EE", "phi"), ("FF-qt", "phi-qt"))):
+        x = xs[a_all == a_ij]
+        g = partial(theta_quotient, a_ij=a_ij, params=p, order=ctx.order, floor=0)
         with np.errstate(divide="ignore", invalid="ignore"):  # masked by zero below
             if which == "psi-inversion":
-                u, v = psi(x, *args), psi(1 / x, *args)
+                u, v = g(psi, x)[0], g(psi, 1 / x)[0]
                 res = abs(u * v - 1)
             else:
-                u, v = phi(x, a_ij, base, bh, p, ctx.order), phi(1 / x, a_ij, base, bh, p, ctx.order)
-                res = _relative(u / v, x ** float(a_ij) * psi(x, *args))
+                u, v = g(phi, x)[0], g(phi, 1 / x)[0]
+                res = _relative(u / v, x ** float(a_ij) * g(psi, x)[0])
             # a theta quotient is 0 or not finite where one of its thetas is
             # exactly 0: those samples are skipped
             zero = (u * v == 0) | ~np.isfinite(u * v)
@@ -701,12 +618,12 @@ def _structure_driver(ctx, which: str):
     return _outcome(np.concatenate(residuals), 2 * ctx.n_random, skipped, 1e-10)
 
 
-def _sl2_generic_driver(ctx, g_fn, kw=(), self_inverse=False):
+def _sl2_generic_driver(ctx, key, self_inverse=False):
     """Function-level checks of the rank-1 general-c block at c = 2 and 3.
 
-    G is ``g_fn(ctx, z, w, 2, **dict(kw))``; where the relation pairs a
+    G is row ``key`` of G_TABLE at A_ij = 2; where the relation pairs a
     current with itself (``self_inverse``), G(x) G(1/x) = 1 is checked.
-    Every sample also checks q qtilde = p^c.  ``g_fn`` is None for the
+    Every sample also checks q qtilde = p^c.  ``key`` is None for the
     commutator, whose delta supports are compared with the c = 1 ones.  No
     operator check exists away from c = 1.
     """
@@ -718,22 +635,19 @@ def _sl2_generic_driver(ctx, g_fn, kw=(), self_inverse=False):
     residuals, skipped = [], 0
     for c in (Fraction(2), Fraction(3)):
         pc = make_params(base.p, base.q, c)
-        cctx = VerifierContext(
-            cartan=make_cartan("A", 1), params=pc, order=ctx.order,
-            tol_series=ctx.tol_series, theta_floor=ctx.theta_floor,
-        )
+        _check_theta_order(pc, ctx.order, ctx.tol_series)
         skip = np.zeros(len(xs), dtype=bool)
-        if g_fn is not None:
-            g, skip = cctx.structure_function(g_fn, xs, 2, kw)
+        if key is not None:
+            g, skip = theta_quotient(key, xs, 2, pc, ctx.order, ctx.theta_floor)
             if self_inverse:
-                ginv, skip_inv = cctx.structure_function(g_fn, 1 / xs, 2, kw)
+                ginv, skip_inv = theta_quotient(key, 1 / xs, 2, pc, ctx.order, ctx.theta_floor)
                 skip = skip | skip_inv
                 residuals += list(np.abs(g * ginv - 1)[~skip])
         qq = abs(pc.q * pc.qtilde - pc.p ** float(c)) / abs(pc.p ** float(c))
         residuals += [qq] * int(np.count_nonzero(~skip))
         skipped += int(np.count_nonzero(skip))
     notes = "function-level only; no representation exists away from c=1"
-    if g_fn is None:
+    if key is None:
         p1 = make_params(base.p, base.q, Fraction(1))
         s1, s2 = 1 / p1.q, p1.qtilde  # supports z = w q^c, w = z qtilde^c at c=1
         residuals += [abs(s1 - 1 / base.q), abs(s2 - base.p / base.q)]
@@ -777,10 +691,10 @@ CATALOGUE = (
      "direct", _heisenberg_driver, (), False),
     ("Eq7-SpSp-exchange",
      "S+_i(z) S+_j(w) = (-1)^{A_ij-1} (w/z)^{A_ij-A_ij b-1} theta_q((w/z)p^{A_ij/2})/theta_q((z/w)p^{A_ij/2}) S+_j(w) S+_i(z)",
-     "series", _exchange_driver, ((("S+", "S+"),), g_spsp), False),
+     "series", _exchange_driver, ((("S+", "S+"),), "SpSp"), False),
     ("Eq8-SmSm-exchange",
      "S-_i(z) S-_j(w) = (-1)^{A_ij-1} (w/z)^{A_ij-A_ij/b-1} theta_{p/q}((w/z)p^{A_ij/2})/theta_{p/q}((z/w)p^{A_ij/2}) S-_j(w) S-_i(z)",
-     "series", _exchange_driver, ((("S-", "S-"),), g_smsm), False),
+     "series", _exchange_driver, ((("S-", "S-"),), "SmSm"), False),
     ("Eq10-SpSm-same-node",
      "S+_i(z) S-_i(w) = 1/((z-wq)(z-wp^{-1}q)) :S+_i(z) S-_i(w):",
      "series", _closed_form_driver, ("S+", "S-", 2), False),
@@ -819,82 +733,82 @@ CATALOGUE = (
      "series", _closed_form_driver, ("F", "E", 0), False),
     ("Eq19-EE-exchange",
      "E_i(z) E_j(w) = (-1)^{A_ij-1} (w/z)^{-1} theta_q((w/z)p^{A_ij/2})/theta_q((z/w)p^{A_ij/2}) E_j(w) E_i(z)",
-     "series", _exchange_driver, ((("E", "E"),), g_ee), False),
+     "series", _exchange_driver, ((("E", "E"),), "EE"), False),
     ("Eq20-FF-exchange",
      "F_i(z) F_j(w) = (-1)^{A_ij-1} (w/z)^{-1} theta_{p/q}((w/z)p^{A_ij/2})/theta_{p/q}((z/w)p^{A_ij/2}) F_j(w) F_i(z)",
-     "series", _exchange_driver, ((("F", "F"),), g_ff), False),
+     "series", _exchange_driver, ((("F", "F"),), "FF"), False),
     ("Eq21-EF-commutator",
      "[E_i(z), F_j(w)] ~ delta_ij/((p-1)zw) [delta(z/(wq)) H+_i(zq^{-1/2}) - delta(w/(z(p/q))) H-_i(w(p/q)^{-1/2})]  (first delta corrected)",
      "both", _commutator_runner, (), True),
     ("Eq24-HH-exchange",
      "H+-_i(z) H+-_j(w) = (w/z)^{-2} theta_q((w/z)p^{A_ij/2}) theta_qt((w/z)p^{A_ij/2}) / (theta_q((z/w)p^{A_ij/2}) theta_qt((z/w)p^{A_ij/2})) H+-_j(w) H+-_i(z)",
-     "series", _exchange_driver, ((("H+", "H+"), ("H-", "H-")), g_hh), True),
+     "series", _exchange_driver, ((("H+", "H+"), ("H-", "H-")), "HH"), True),
     ("Eq25-HpHm-exchange",
      "H+_i(z) H-_j(w) = (w/z)^{-2} theta_q((w/z)p^{(A_ij-c)/2}) theta_qt((w/z)p^{(A_ij+c)/2}) / (...inverse args...) H-_j(w) H+_i(z)  (garbled print; c=1 form of the general display)",
-     "series", _exchange_driver, ((("H+", "H-"),), g_hphm), True),
+     "series", _exchange_driver, ((("H+", "H-"),), "HpHm"), True),
     ("Eq26-HpE-exchange",
      "H+_i(z) E_j(w) = -(w/(zq^{1/2}))^{-1} theta_q((w/z)p^{A_ij/2}q^{-1/2})/theta_q((z/w)p^{A_ij/2}q^{1/2}) E_j(w) H+_i(z)  (sign corrected)",
-     "series", _exchange_driver, ((("H+", "E"),), g_he, (("sign", 1),)), True),
+     "series", _exchange_driver, ((("H+", "E"),), "HpE"), True),
     ("Eq27-HmE-exchange",
      "H-_i(z) E_j(w) = -(w(p/q)^{1/2}/z)^{-1} theta_q((w/z)p^{A_ij/2}(p/q)^{1/2})/theta_q((z/w)p^{A_ij/2}(p/q)^{-1/2}) E_j(w) H-_i(z)  (sign corrected)",
-     "series", _exchange_driver, ((("H-", "E"),), g_he, (("sign", -1),)), True),
+     "series", _exchange_driver, ((("H-", "E"),), "HmE"), True),
     ("Eq28-HpF-exchange",
      "H+_i(z) F_j(w) = -(wq^{1/2}/z)^{-1} theta_{p/q}((w/z)p^{A_ij/2}q^{1/2})/theta_{p/q}((z/w)p^{A_ij/2}q^{-1/2}) F_j(w) H+_i(z)  (sign corrected)",
-     "series", _exchange_driver, ((("H+", "F"),), g_hf, (("sign", 1),)), True),
+     "series", _exchange_driver, ((("H+", "F"),), "HpF"), True),
     ("Eq29-HmF-exchange",
      "H-_i(z) F_j(w) = -(w/(z(p/q)^{1/2}))^{-1} theta_{p/q}((w/z)p^{A_ij/2}(p/q)^{-1/2})/theta_{p/q}((z/w)p^{A_ij/2}(p/q)^{1/2}) F_j(w) H-_i(z)  (sign corrected)",
-     "series", _exchange_driver, ((("H-", "F"),), g_hf, (("sign", -1),)), True),
+     "series", _exchange_driver, ((("H-", "F"),), "HmF"), True),
     ("Eq30-sl2-HH-generic-c",
      "H+-(z) H+-(w) = (w/z)^{-2} theta_q((w/z)p) theta_qt((w/z)p)/(...) H+-(w) H+-(z)",
-     "function", _sl2_generic_driver, (g_hh, (), True), False),
+     "function", _sl2_generic_driver, ("HH", True), False),
     ("Eq31-sl2-HpHm-generic-c",
      "H+(z) H-(w) = (w/z)^{-2} theta_q((w/z)p^{(2-c)/2}) theta_qt((w/z)p^{(2+c)/2})/(...) H-(w) H+(z)",
-     "function", _sl2_generic_driver, (g_hphm,), False),
+     "function", _sl2_generic_driver, ("HpHm",), False),
     ("Eq32-sl2-HpE-generic-c",
      "H+(z) E(w) = -(wq^{-c/2}/z)^{-1} theta_q((w/z)pq^{-c/2})/theta_q((z/w)pq^{c/2}) E(w) H+(z)",
-     "function", _sl2_generic_driver, (g_he, (("sign", 1),)), False),
+     "function", _sl2_generic_driver, ("HpE",), False),
     ("Eq33-sl2-HmE-generic-c",
      "H-(z) E(w) = -(w qt^{c/2}/z)^{-1} theta_q((w/z)p qt^{c/2})/theta_q((z/w)p qt^{-c/2}) E(w) H-(z)",
-     "function", _sl2_generic_driver, (g_he, (("sign", -1),)), False),
+     "function", _sl2_generic_driver, ("HmE",), False),
     ("Eq34-sl2-HpF-generic-c",
      "H+(z) F(w) = -(wq^{c/2}/z)^{-1} theta_qt((w/z)pq^{c/2})/theta_qt((z/w)pq^{-c/2}) F(w) H+(z)",
-     "function", _sl2_generic_driver, (g_hf, (("sign", 1),)), False),
+     "function", _sl2_generic_driver, ("HpF",), False),
     ("Eq35-sl2-HmF-generic-c",
      "H-(z) F(w) = -(w qt^{-c/2}/z)^{-1} theta_qt((w/z)p qt^{-c/2})/theta_qt((z/w)p qt^{c/2}) F(w) H-(z)",
-     "function", _sl2_generic_driver, (g_hf, (("sign", -1),)), False),
+     "function", _sl2_generic_driver, ("HmF",), False),
     ("Eq36-sl2-EE-generic-c",
      "E(z) E(w) = -(w/z)^{-1} theta_q((w/z)p)/theta_q((z/w)p) E(w) E(z)",
-     "function", _sl2_generic_driver, (g_ee, (), True), False),
+     "function", _sl2_generic_driver, ("EE", True), False),
     ("Eq37-sl2-FF-generic-c",
      "F(z) F(w) = -(w/z)^{-1} theta_qt((w/z)p)/theta_qt((z/w)p) F(w) F(z)",
-     "function", _sl2_generic_driver, (g_ff_qt, (), True), False),
+     "function", _sl2_generic_driver, ("FF-qt", True), False),
     ("Eq38-sl2-EF-commutator-generic-c",
      "[E(z), F(w)] = 1/((p-1)zw) [delta(z/(wq^c)) H+(zq^{-c/2}) - delta(w/(z qt^c)) H-(w qt^{-c/2})],  q qt = p^c",
      "function", _sl2_generic_driver, (None,), False),
     ("Eq39-HH-exchange-c",
      "general g: H+-_i(z) H+-_j(w) exchange with theta_q theta_qt at p^{A_ij/2}",
-     "series", _exchange_driver, ((("H+", "H+"), ("H-", "H-")), g_hh), True),
+     "series", _exchange_driver, ((("H+", "H+"), ("H-", "H-")), "HH"), True),
     ("Eq40-HpHm-exchange-c",
      "general g: H+_i(z) H-_j(w) exchange with p^{(A_ij-c)/2}, p^{(A_ij+c)/2}",
-     "series", _exchange_driver, ((("H+", "H-"),), g_hphm), True),
+     "series", _exchange_driver, ((("H+", "H-"),), "HpHm"), True),
     ("Eq41-HpE-exchange-c",
      "general g: H+_i(z) E_j(w) exchange, theta_q, shifts q^{+-c/2}  (sign corrected)",
-     "series", _exchange_driver, ((("H+", "E"),), g_he, (("sign", 1),)), True),
+     "series", _exchange_driver, ((("H+", "E"),), "HpE"), True),
     ("Eq42-HmE-exchange-c",
      "general g: H-_i(z) E_j(w) exchange, theta_q, shifts qt^{+-c/2}  (sign corrected)",
-     "series", _exchange_driver, ((("H-", "E"),), g_he, (("sign", -1),)), True),
+     "series", _exchange_driver, ((("H-", "E"),), "HmE"), True),
     ("Eq43-HpF-exchange-c",
      "general g: H+_i(z) F_j(w) exchange, theta_qt, shifts q^{+-c/2}  (sign corrected)",
-     "series", _exchange_driver, ((("H+", "F"),), g_hf, (("sign", 1),)), True),
+     "series", _exchange_driver, ((("H+", "F"),), "HpF"), True),
     ("Eq44-HmF-exchange-c",
      "general g: H-_i(z) F_j(w) exchange, theta_qt, shifts qt^{+-c/2}  (sign corrected)",
-     "series", _exchange_driver, ((("H-", "F"),), g_hf, (("sign", -1),)), True),
+     "series", _exchange_driver, ((("H-", "F"),), "HmF"), True),
     ("Eq45-EE-exchange-c",
      "general g: E_i(z) E_j(w) exchange (c independent)",
-     "series", _exchange_driver, ((("E", "E"),), g_ee), False),
+     "series", _exchange_driver, ((("E", "E"),), "EE"), False),
     ("Eq46-FF-exchange-c",
      "general g: F_i(z) F_j(w) exchange with theta_qt",
-     "series", _exchange_driver, ((("F", "F"),), g_ff_qt), True),
+     "series", _exchange_driver, ((("F", "F"),), "FF-qt"), True),
     ("Eq47-EF-commutator-c",
      "general g: [E_i(z), F_j(w)] = delta_ij/((p-1)zw)[delta(z/(wq^c)) H+ - delta(w/(z qt^c)) H-]",
      "both", _commutator_runner, (), True),

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from screenalg.verifier import VerifierContext, _outcome, phi, psi, theta
+from screenalg.verifier import VerifierContext, _outcome, theta
+from structure_reference import phi, psi
 
 
 class SkipSample(Exception):

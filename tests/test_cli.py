@@ -36,6 +36,11 @@ class TestExitCodes:
         assert run_cli(["--tol", "0", "--quiet"]) == 2
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_nonpositive_tol_fock_rejected(self, capsys, value):
+        assert run_cli(["--tol-fock", value, "--quiet"]) == 2
+        assert "Fock tolerance" in capsys.readouterr().err
+
     def test_filter_miss_is_an_error(self, capsys):
         rc = run_cli(["--algebra", "A1", "--relations", "NoSuchRelation", "--quiet"])
         assert rc == 2

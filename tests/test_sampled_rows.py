@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sampled_reference as ref
 
-from screenalg import VerifierContext, make_cartan, make_params, run_suite, theta, verifier
+from screenalg import VerifierContext, make_cartan, make_params, run_suite, verifier
 
 # (array driver, scalar reference, args), one per sampled row
 ROWS = [
@@ -75,13 +75,13 @@ def failing(ctx):
 
 
 def test_shifted_psi_fails_every_row_built_on_it(monkeypatch):
-    # psi with p^{(A_ij + 1)/2} in place of p^{A_ij/2}; psi-inversion holds
-    # for any shift, so it passes
-    def shifted_psi(x, a_ij, base, params, order=80):
-        pa = params.p_half ** (a_ij + 1)
-        return (-1.0) ** (a_ij - 1) * x ** (-1.0) * theta(x * pa, base, order) / theta(pa / x, base, order)
-
-    monkeypatch.setattr(verifier, "psi", shifted_psi)
+    # psi (the EE and FF-qt rows) with p^{(A_ij + c)/2}, that is p^{(A_ij + 1)/2}
+    # at c = 1, in place of p^{A_ij/2}; psi-inversion holds for any shift, so
+    # it passes
+    shifted = ("p", 1, 1)
+    for key in ("EE", "FF-qt"):
+        sign, power, m, ((b, _, _),), _ = verifier.G_TABLE[key]
+        monkeypatch.setitem(verifier.G_TABLE, key, (sign, power, m, ((b, 1, shifted),), ((b, -1, shifted),)))
     ctx = VerifierContext(cartan=make_cartan("A", 2), params=make_params(0.09, 0.3, 1))
     assert failing(ctx) == [
         "Eq48-Serre-E", "Eq51-Serre-F", "phi-factorization", "serre-coefficients-from-psi",

@@ -9,11 +9,10 @@ from screenalg import (
     build_catalogue,
     make_cartan,
     make_params,
-    phi,
-    psi,
     run_suite,
     serre_coefficient,
     theta,
+    theta_quotient,
 )
 from screenalg import currents, verifier
 from screenalg.currents import ContractionKernel, KernelGroup, _node_free_part
@@ -24,9 +23,6 @@ from screenalg.verifier import (
     _exchange_driver,
     _serre_driver,
     _structure_driver,
-    g_ee,
-    g_he,
-    g_spsp,
 )
 
 PR = make_params(0.09, 0.3, 1)
@@ -69,6 +65,11 @@ def ctx_for(label, rank, **kw):
     return VerifierContext(cartan=make_cartan(label, rank), params=PR, **kw)
 
 
+def structure(key, x, a):
+    """Row ``key`` of the structure-function table at PR, with no theta floor."""
+    return theta_quotient(key, x, a, PR, 80, 0)[0]
+
+
 def defective(monkeypatch, key, bad):
     """Make VerifierContext.contract return ``bad`` for the one (kind, node, kind, node) ``key``."""
     contract = VerifierContext.contract
@@ -85,8 +86,8 @@ class TestStructureFunctions:
         for _ in range(100):
             x = rng.uniform(0.3, 1.7) * np.exp(1j * rng.uniform(-3, 3))
             for a in (2, -1, 0):
-                for base in (PR.q, PR.qtilde):
-                    v = psi(x, a, base, PR) * psi(1 / x, a, base, PR)
+                for psi in ("EE", "FF-qt"):
+                    v = structure(psi, x, a) * structure(psi, 1 / x, a)
                     assert abs(v - 1) < 1e-10
 
     def test_phi_factorization_corrected_monomial(self):
@@ -94,24 +95,24 @@ class TestStructureFunctions:
         for _ in range(50):
             x = rng.uniform(0.4, 1.6) * np.exp(1j * rng.uniform(-3, 3))
             for a in (2, -1, 0):
-                lhs = phi(x, a, PR.q, PR.q_half, PR) / phi(1 / x, a, PR.q, PR.q_half, PR)
-                rhs = x ** float(a) * psi(x, a, PR.q, PR)
+                lhs = structure("phi", x, a) / structure("phi", 1 / x, a)
+                rhs = x ** float(a) * structure("EE", x, a)
                 assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-10
 
     def test_phi_factorization_exact_only_at_a0(self):
         # the uncorrected identity fails by x^A away from A = 0
         x = 0.8 * np.exp(0.9j)
         for a in (2, -1):
-            lhs = phi(x, a, PR.q, PR.q_half, PR) / phi(1 / x, a, PR.q, PR.q_half, PR)
-            assert abs(lhs - psi(x, a, PR.q, PR)) > 1e-3
-        lhs0 = phi(x, 0, PR.q, PR.q_half, PR) / phi(1 / x, 0, PR.q, PR.q_half, PR)
-        assert abs(lhs0 - psi(x, 0, PR.q, PR)) < 1e-12
+            lhs = structure("phi", x, a) / structure("phi", 1 / x, a)
+            assert abs(lhs - structure("EE", x, a)) > 1e-3
+        lhs0 = structure("phi", x, 0) / structure("phi", 1 / x, 0)
+        assert abs(lhs0 - structure("EE", x, 0)) < 1e-12
 
     def test_serre_coefficient_degenerate_limit(self):
         # psi_ii(1) = -1 makes f at z1 = z2 a 0/0 limit; nearby evaluations
         # from both sides must agree (the limit exists)
         def psi_q(x, a):
-            return psi(x, a, PR.q, PR), False
+            return theta_quotient("EE", x, a, PR, 80, 0)
 
         w = 1.3 * np.exp(0.4j)
         z = 0.9 * np.exp(-0.2j)
@@ -126,32 +127,36 @@ class TestStructureFunctions:
 
 class TestExchangeDrivers:
     def test_eq19_a1(self):
-        out = _exchange_driver(ctx_for("A", 1, order=60), (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx_for("A", 1, order=60), (("E", "E"),), "EE")
         assert out["passed"] and out["max_residual"] < 1e-8
 
     def test_eq19_orthogonal_is_exact(self):
         out = _exchange_driver(
-            ctx_for("A", 3, order=40), (("E", "E"),), g_ee, a_filter=(0,)
+            ctx_for("A", 3, order=40), (("E", "E"),), "EE", a_filter=(0,)
         )
         assert out["max_residual"] < 1e-14
 
     def test_eq7_vacuous_without_instances(self):
         out = _exchange_driver(
-            ctx_for("A", 1, order=40), (("S+", "S+"),), g_spsp, a_filter=(-1,)
+            ctx_for("A", 1, order=40), (("S+", "S+"),), "SpSp", a_filter=(-1,)
         )
         assert out["passed"] and "vacuous" in out["notes"]
 
-    def test_he_sign_correction_needed(self):
+    def test_he_sign_correction_needed(self, monkeypatch):
         # with the uncorrected (-1)^{A-1} sign the adjacent-node relation fails
         ctx = ctx_for("A", 2, order=60)
+        assert _exchange_driver(ctx, (("H+", "E"),), "HpE", a_filter=(-1,))["passed"]
+        _, power, m, num, den = verifier.G_TABLE["HpE"]
+        monkeypatch.setitem(verifier.G_TABLE, "HpE", ((-1, 1), power, m, num, den))
+        assert not _exchange_driver(ctx, (("H+", "E"),), "HpE", a_filter=(-1,))["passed"]
 
-        def g_wrong(c, z, w, a_ij):
-            return -g_he(c, z, w, a_ij, +1)
-
-        out = _exchange_driver(ctx, (("H+", "E"),), g_wrong, a_filter=(-1,))
-        assert not out["passed"]
-        out2 = _exchange_driver(ctx, (("H+", "E"),), g_he, (("sign", 1),), a_filter=(-1,))
-        assert out2["passed"]
+    def test_a_flipped_hpe_exponent_fails_only_its_rows(self, monkeypatch):
+        # q^{-c/2} -> q^{+c/2} in the H+E numerator: one entry of the table,
+        # read by every row that names HpE
+        sign, power, m, ((b, e, pa, _),), den = verifier.G_TABLE["HpE"]
+        monkeypatch.setitem(verifier.G_TABLE, "HpE", (sign, power, m, ((b, e, pa, ("q", 0, 1)),), den))
+        rows = run_suite(ctx_for("A", 2)).results
+        assert [r.name for r in rows if not r.passed] == ["Eq26-HpE-exchange", "Eq41-HpE-exchange-c"]
 
 
 class TestCommutatorDriver:
@@ -379,7 +384,7 @@ class TestThetaSkipPath:
     def test_theta_floor_raises_skip(self):
         # p = q^2 at the default parameters, so theta_q(x p) vanishes at x = 1
         ctx = ctx_for("A", 1, order=80)
-        g, skip = ctx.structure_function(g_ee, np.array([1.0, 0.5j, 1.0]), 2)
+        g, skip = ctx.theta_g("EE", np.array([1.0, 0.5j, 1.0]), 2)
         assert skip.tolist() == [True, False, True] and np.isfinite(g[1])
         v = theta(PR.p, PR.q, 80)
         assert abs(v) < 1e-10
@@ -397,7 +402,7 @@ class TestThetaSkipPath:
             or min(kernel.evaluate(x)[1], kernel.evaluate(1 / x)[1]) < ctx.pole_floor
             for t, x in zip(low, xs)
         )
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         assert 0 < out["skipped"] == want < out["n_samples"] == 16
         assert out["passed"]
 
@@ -407,7 +412,7 @@ class TestThetaSkipPath:
         ctx = ctx_for("A", 2)
         ope = ctx.contract(ctx.spec("E", 1), ctx.spec("E", 0))
         defective(monkeypatch, ("E", 1, "E", 0), dataclasses.replace(ope, coeff=complex("nan")))
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         assert out["skipped"] == 0 and not out["passed"]
         assert np.isnan(out["max_residual"])
 
@@ -415,7 +420,7 @@ class TestThetaSkipPath:
         # an absurd floor forces every sample onto the skip path; a check
         # with nothing left to compare must not report a pass
         ctx = ctx_for("A", 1, order=40, theta_floor=1e6)
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         assert out["skipped"] == out["n_samples"] > 0
         assert not out["passed"]
 
@@ -442,7 +447,7 @@ class TestSeriesCaches:
 
         monkeypatch.setattr(ContractionKernel, "evaluate", counted)
         ctx = ctx_for("D", 4)
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         assert out["passed"] and out["n_samples"] == 16 * 16
         assert len(seen) == 3 * 2 and {shape for _, shape in seen} == {(16,)}
 
@@ -458,7 +463,7 @@ class TestSeriesCaches:
             for g in ope.kernel.groups
         ))
         defective(monkeypatch, ("E", i, "E", j), dataclasses.replace(ope, kernel=bad))
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         assert not out["passed"] and out["max_residual"] > 1e-8
 
     @pytest.mark.parametrize("row, key", [
@@ -486,7 +491,7 @@ class TestSeriesCaches:
         ctx = ctx_for("A", 2)
         ope = ctx.contract(ctx.spec("E", 1), ctx.spec("E", 0))
         defective(monkeypatch, ("E", 1, "E", 0), dataclasses.replace(ope, coeff=0j))
-        out = _exchange_driver(ctx, (("E", "E"),), g_ee)
+        out = _exchange_driver(ctx, (("E", "E"),), "EE")
         # node pair (0, 1) reads it reversed and skips all 16 samples
         assert out["skipped"] == 16 and out["n_samples"] == 64
         assert np.isfinite(out["max_residual"])
