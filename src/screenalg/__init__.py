@@ -26,7 +26,6 @@ from .heisenberg import (
 )
 from .qlaurent import (
     DeltaComb,
-    DeltaCombError,
     LaurentSeries,
     delta_extract,
     qpochhammer,
@@ -54,7 +53,6 @@ __all__ = [
     "CurrentSpec",
     "DeformationParams",
     "DeltaComb",
-    "DeltaCombError",
     "ERRATA",
     "FockSpace",
     "G_TABLE",

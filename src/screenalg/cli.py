@@ -1,9 +1,10 @@
 """Batch runner: parse a configuration, execute the suite, emit reports.
 
-Exit code 0 iff every executed check passed.  The JSON report is written
-atomically (temp file + rename).  All sampling is driven by the seed, so a
-rerun with the same configuration reproduces the same report apart from
-the per-check timing fields.
+Exit code 0 iff every executed check passed, 1 if one failed, and 2 for a
+configuration error (found before any check runs) or a report that cannot
+be written.  The JSON report is written atomically (temp file + rename).
+All sampling is driven by the seed, so a rerun with the same configuration
+reproduces the same report apart from the per-check timing fields.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ class RunConfig:
             raise ValueError("series tolerance must be positive")
         if not 0 < self.tol_fock:
             raise ValueError("Fock tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        out_dir = os.path.dirname(os.path.abspath(self.out))
+        if self.out and not os.path.isdir(out_dir):
+            raise ValueError(f"cannot write the report: no directory {out_dir}")
         return m.group(1).upper(), int(m.group(2))
 
 
@@ -186,6 +192,9 @@ def main(argv=None) -> int:
         return 2
     filt = [s for s in (cfg.relations or "").split(",") if s.strip()]
     report = run_suite(ctx, relation_filter=filt or None)
+    if not report.results:
+        print("error: relation filter matched nothing", file=sys.stderr)
+        return 2
     if not args.quiet:
         width = max((len(r.name) for r in report.results), default=20)
         print(f"algebra {report.algebra}  p={report.p} q={report.q} c={report.c} "
@@ -201,10 +210,11 @@ def main(argv=None) -> int:
         n_pass = sum(r.passed for r in report.results)
         print(f"{n_pass}/{len(report.results)} checks passed")
     if cfg.out:
-        _write_atomic(cfg.out, json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if not report.results:
-        print("error: relation filter matched nothing", file=sys.stderr)
-        return 2
+        try:
+            _write_atomic(cfg.out, json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.all_pass else 1
 
 

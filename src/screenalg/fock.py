@@ -305,24 +305,23 @@ class FockSpace:
         return tuple(tgt), tuple(off), modes
 
     def sector_modes(self, spec: CurrentSpec, lam, src_cap: int, tgt_cap: int):
-        """(target_sector, offset, dict[n] -> Blocks) for one current; cached."""
+        """(target_sector, offset, dict[n] -> Blocks) for one current.
+
+        E and F modes are cached, since every node pair of the commutator
+        check reads them; H+- modes are read by one node pair and are not.
+        """
         key = (spec.kind, spec.node, tuple(int(x) for x in lam), src_cap, tgt_cap)
-        if key not in self._modes_cache:
+        out = self._modes_cache.get(key)
+        if out is None:
             tgt, offs, modes = self._apply([(spec, 0)], lam, src_cap, tgt_cap)
-            self._modes_cache[key] = (tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()})
-        return self._modes_cache[key]
+            out = (tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()})
+            if spec.kind in ("E", "F"):
+                self._modes_cache[key] = out
+        return out
 
     def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src_cap: int, tgt_cap: int):
-        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):."""
-        key = (
-            "pair", spec_x.kind, spec_x.node, spec_y.kind, spec_y.node,
-            tuple(int(x) for x in lam), src_cap, tgt_cap,
-        )
-        if key not in self._modes_cache:
-            self._modes_cache[key] = self._apply(
-                [(spec_x, 0), (spec_y, 1)], lam, src_cap, tgt_cap
-            )
-        return self._modes_cache[key]
+        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):; not cached."""
+        return self._apply([(spec_x, 0), (spec_y, 1)], lam, src_cap, tgt_cap)
 
     # -- public operations -------------------------------------------------------
 
@@ -372,6 +371,7 @@ class FockSpace:
             top_e, e_modes = complete(spec_a, lam, cap, window)
             e_on_f, f_sel = applied(spec_a, lam_e, top_f, f_modes)
             f_on_e, e_sel = applied(spec_b, lam_f, top_e, e_modes)
+            b_modes: dict = {}  # no :E F: term at A_ij = 0
             if i == j:  # H[m + n - 2] reaches mode -2W - 2
                 hp = current_spec("H+", i, self.rank, params)
                 hm = current_spec("H-", i, self.rank, params)
@@ -391,11 +391,9 @@ class FockSpace:
                         w_m = -((1 / pqh) ** (m - n)) / (params.p - 1)
                         h = m + n - 2
                         parts = [(w_p, hp_modes.get(h, {})), (w_m, hm_modes.get(h, {}))]
-                    elif a_ij == -1:
+                    else:
                         b1, b2 = b_modes.get((m + 1, n), {}), b_modes.get((m, n + 1), {})
                         parts = [(2 * pqh, b1), (-2 * qh, b2)]
-                    else:
-                        parts = []
                     rhs = blocks_linear(parts)
                     diff = blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
                     scale = max(blocks_max_abs(ef), blocks_max_abs(fe), blocks_max_abs(rhs))
@@ -406,33 +404,12 @@ class FockSpace:
             for where, err, scale in sector_rows:
                 vacuous += scale <= floor
                 rows.append((where, err / max(scale, floor) if err else 0.0, scale))
-        # H±_i's modes and the :E_i F_j: pair modes are read by this node pair
-        # only; E and F modes stay cached for the other node pairs
-        for key in [
-            k for k in self._modes_cache
-            if k[:2] in (("H+", i), ("H-", i)) or k[:5] == ("pair", "E", i, "F", j)
-        ]:
-            del self._modes_cache[key]
         max_res = max((r for _, r, _ in rows), default=0.0)
-        return CommutatorReport(
-            node_i=i,
-            node_j=j,
-            cartan_entry=a_ij,
-            cap=cap,
-            window=window,
-            residuals=rows,
-            max_residual=max_res,
-            vacuous=vacuous,
-        )
+        return CommutatorReport(residuals=rows, max_residual=max_res, vacuous=vacuous)
 
 
 @dataclass
 class CommutatorReport:
-    node_i: int
-    node_j: int
-    cartan_entry: int
-    cap: int
-    window: int
     residuals: list  # ((sector, m, n), residual, scale), one per row
     max_residual: float
     vacuous: int  # rows at or below the noise floor, where nothing is compared

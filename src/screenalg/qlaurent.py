@@ -193,11 +193,10 @@ def series_exp(logseries: LaurentSeries) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class DeltaComb:
-    """Finite sum sum_t weight_t * delta(x / support_t), with fit diagnostics."""
+    """Finite sum sum_t weight_t * delta(x / support_t), and the fit's residual."""
 
     terms: tuple[tuple[complex, complex], ...]  # (support, weight)
     residual: float
-    window: tuple[int, int]
 
     def weight_at(self, support: complex, atol: float = 1e-9) -> complex:
         for s, w in self.terms:
@@ -206,41 +205,25 @@ class DeltaComb:
         return 0.0 + 0.0j
 
 
-class DeltaCombError(ValueError):
-    """Difference of expansions is not a delta comb over the candidate poles."""
-
-    def __init__(self, message: str, residual: float, profile: np.ndarray):
-        super().__init__(message)
-        self.residual = residual
-        self.profile = profile
-
-
 def delta_extract(
     f_inner: LaurentSeries,
     f_outer: LaurentSeries,
     candidate_poles: Sequence[complex],
+    window: tuple[int, int],
     tol: float = 1e-8,
-    window: tuple[int, int] | None = None,
 ) -> DeltaComb:
     """Match inner-minus-outer expansion coefficients to a finite delta comb.
 
     ``f_inner`` expands a rational function inside some annulus, ``f_outer``
     the same function outside it; their coefficient-wise difference d_k is
-    fitted to sum_t w_t x_t^{-k} over the caller-supplied candidate poles x_t.
-    The default window is the union of the stored supports: an inner
-    expansion is exactly zero below its lowest stored exponent and an outer
-    expansion above its highest, so both difference tails are meaningful.
-    Rows are rescaled before the least-squares solve because the model
-    columns grow geometrically in |k|.
+    fitted to sum_t w_t x_t^{-k} over the caller-supplied candidate poles x_t,
+    for the exponents k in ``window`` = (lo, hi).  Rows are rescaled before
+    the least-squares solve because the model columns grow geometrically in
+    |k|.  The comb is returned whatever its relative ``residual``; the
+    caller judges it.  ``tol`` only drops the terms whose weight is
+    negligible.
     """
-    if window is None:
-        lo = min(f_inner.min_exp, f_outer.min_exp)
-        hi = max(
-            min(f_inner.max_stored, f_inner.order),
-            min(f_outer.max_stored, f_outer.order),
-        )
-    else:
-        lo, hi = window
+    lo, hi = window
     if hi < lo:
         raise ValueError("empty exponent window")
 
@@ -276,16 +259,10 @@ def delta_extract(
         1e-300,
     )
     residual = float(np.max(profile)) / scale
-    if residual > tol:
-        raise DeltaCombError(
-            f"not a delta comb over candidates {poles}: residual {residual:.3e} > {tol:.3e}",
-            residual,
-            profile,
-        )
     wscale = max(float(np.max(np.abs(w), initial=0.0)), 1e-300)
     terms = tuple(
         (poles[t], complex(w[t]))
         for t in range(len(poles))
         if abs(w[t]) > max(tol * wscale, tol * scale)
     )
-    return DeltaComb(terms=terms, residual=residual, window=(int(lo), int(hi)))
+    return DeltaComb(terms=terms, residual=residual)

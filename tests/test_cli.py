@@ -50,6 +50,36 @@ class TestExitCodes:
         assert run_cli(["--algebra", "A1", "--relations", "Eq1", "--quiet"]) == 2
         assert "matched nothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, seed):
+        # numpy rejects a negative seed; the structure rows draw with seed + 1,
+        # so -1 and -2 used to fail three and six rows with exit 1
+        out = tmp_path / "r.json"
+        assert run_cli(["--algebra", "A2", "--seed", seed, "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_report_directory_rejected_before_the_suite(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert run_cli(["--algebra", "A2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "no directory" in captured.err and captured.out == ""
+        assert not out.parent.exists()
+
+    def test_unwritable_report_is_an_error(self, tmp_path, capsys):
+        # the path is a directory: the rename fails after the suite has run
+        rc = run_cli(["--algebra", "A1", "--relations", "theta", "--quiet", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_filter_miss_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(["--algebra", "A2", "--relations", "Eq99", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "matched nothing" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_quick_pass(self, tmp_path):
         out = tmp_path / "r.json"
         rc = run_cli(
@@ -206,6 +236,22 @@ class TestPinnedReport:
         assert run_cli(["--algebra", "A2", "--seed", "75018", "--quiet", "--out", str(out)]) == 0
         got = json.loads(out.read_text())
         want = json.loads((Path(__file__).parent / "data" / "a2_default_report.json").read_text())
+        assert [c["relation"] for c in got["checks"]] == [c["relation"] for c in want["checks"]]
+        for g, w in zip(got["checks"], want["checks"]):
+            g.pop("seconds")
+            assert g.pop("max_residual") == pytest.approx(w.pop("max_residual"), rel=0, abs=1e-14)
+            assert g == w, g["relation"]
+        assert got == want
+
+    def test_a2_wide_report_is_unchanged(self, tmp_path):
+        # tests/data/a2_wide_report.json is `verify --seed 75018 --p 0.3 --q 0.7`
+        # with the `seconds` fields removed: away from the default point's
+        # p = q^2, where a q <-> p/q swap shows, compared as above
+        out = tmp_path / "a2.json"
+        args = ["--algebra", "A2", "--p", "0.3", "--q", "0.7", "--seed", "75018"]
+        assert run_cli(args + ["--quiet", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        want = json.loads((Path(__file__).parent / "data" / "a2_wide_report.json").read_text())
         assert [c["relation"] for c in got["checks"]] == [c["relation"] for c in want["checks"]]
         for g, w in zip(got["checks"], want["checks"]):
             g.pop("seconds")

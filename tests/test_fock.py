@@ -118,7 +118,6 @@ class TestCommutator:
         rep = fs.commutator_check(
             current_spec("E", 0, 2, PR), current_spec("F", 1, 2, PR), [(0, 0)], 2, 2
         )
-        assert rep.cartan_entry == -1
         assert rep.max_residual < 1e-8
 
     def test_orthogonal_nodes_commute_exactly(self):
@@ -126,7 +125,6 @@ class TestCommutator:
         rep = fs.commutator_check(
             current_spec("E", 0, 3, PR), current_spec("F", 2, 3, PR), [(0, 0, 0)], 2, 2
         )
-        assert rep.cartan_entry == 0
         # exact up to the rounding of applying E after F and F after E
         assert rep.max_residual < 1e-15
         assert len(rep.residuals) - rep.vacuous > 0
@@ -157,8 +155,8 @@ class TestCommutator:
         assert rep.max_residual == 0.0
 
     def test_node_pair_modes_are_dropped_after_their_check(self):
-        # H+-_i and :E_i F_j: are read by node pair (i, j) alone; E and F
-        # modes are read by the other node pairs too and stay cached
+        # H+-_i and :E_i F_j: are read by node pair (i, j) alone and are not
+        # cached; E and F modes are read by the other node pairs too and stay cached
         fs = FockSpace(A2, PR)
         for i, j, a_ij in A2.node_pairs():
             e_i, f_j = current_spec("E", i, 2, PR), current_spec("F", j, 2, PR)
@@ -276,16 +274,25 @@ class TestCommutatorMutants:
         assert _same_node_residual(cartan) > self.TOL_FOCK
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
-    def test_one_hplus_entry_fails(self, cartan):
-        r = cartan.rank
-        fs = FockSpace(cartan, PR)
-        hp = current_spec("H+", 0, r, PR)
-        # the H+ modes the check reads (reach 2W + 2), from the same cache;
-        # the largest entry of H+[-2], the mode of the rows m + n = 0
-        blocks = [b for _, b in fs.sector_modes(hp, (0,) * r, 3, 3 + 8)[2][-2].values()]
-        block = max(blocks, key=lambda b: np.max(np.abs(b)))
-        block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1 + 1e-6
-        assert _same_node_residual(cartan, fs) > self.TOL_FOCK
+    def test_one_hplus_entry_fails(self, cartan, monkeypatch):
+        # H+ modes are not cached, so the edit is made on the H+_0 modes the
+        # check reads (reach 2W + 2) as sector_modes returns them: the
+        # largest entry of H+[-2], the mode of the rows m + n = 0
+        sector_modes = FockSpace.sector_modes
+        edited = []
+
+        def one_entry_scaled(self, spec, *args):
+            out = sector_modes(self, spec, *args)
+            if (spec.kind, spec.node) == ("H+", 0):
+                blocks = [b for _, b in out[2][-2].values()]
+                block = max(blocks, key=lambda b: np.max(np.abs(b)))
+                block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1 + 1e-6
+                edited.append(args)
+            return out
+
+        monkeypatch.setattr(FockSpace, "sector_modes", one_entry_scaled)
+        assert _same_node_residual(cartan) > self.TOL_FOCK
+        assert edited == [((0,) * cartan.rank, 3, 3 + 8)]
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
     def test_dropped_f_column_group_fails(self, cartan, monkeypatch):

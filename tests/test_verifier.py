@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ class TestCommutatorDriver:
         (res,) = run_suite(ctx_for("A", 3), relation_filter=["Eq21"]).results
         assert (res.n_samples, res.skipped, res.passed) == (386, 55, True)
         assert res.max_residual < 1e-13
+
+    def test_failing_series_route_reports_both_residuals(self, monkeypatch):
+        # E_0 F_1's coeff x (1 + 1e-6) leaves a regular part off by 1e-6; the
+        # row still compares every Fock row and names both route residuals
+        ctx = ctx_for("A", 2)
+        ope = ctx.contract(ctx.spec("E", 0), ctx.spec("F", 1))
+        defective(monkeypatch, ("E", 0, "F", 1), dataclasses.replace(ope, coeff=ope.coeff * (1 + 1e-6)))
+        (res,) = run_suite(ctx, relation_filter=["Eq21"]).results
+        assert not res.passed
+        assert (res.n_samples, res.skipped) == (174, 22)
+        assert 1e-8 < res.max_residual < 1e-5
+        series, fock = (float(v) for v in re.findall(r"residual ([0-9.e+-]+)", res.notes))
+        assert series == pytest.approx(res.max_residual, rel=1e-3) and fock < 1e-13
 
     def test_two_route_agreement(self):
         ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
