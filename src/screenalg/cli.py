@@ -65,9 +65,14 @@ class RunConfig:
             raise ValueError("Fock tolerance must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        out_dir = os.path.dirname(os.path.abspath(self.out))
-        if self.out and not os.path.isdir(out_dir):
-            raise ValueError(f"cannot write the report: no directory {out_dir}")
+        if self.out:
+            out_dir = os.path.dirname(os.path.abspath(self.out))
+            if not os.path.isdir(out_dir):
+                raise ValueError(f"cannot write the report: no directory {out_dir}")
+            if os.path.isdir(self.out):
+                raise ValueError(f"cannot write the report: {self.out} is a directory")
+            if not os.access(out_dir, os.W_OK):
+                raise ValueError(f"cannot write the report: directory {out_dir} is not writable")
         return m.group(1).upper(), int(m.group(2))
 
 

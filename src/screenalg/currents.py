@@ -15,7 +15,12 @@ in two equivalent forms:
   |rho_t| < 1, so exponentiating and expanding the geometric denominators
   gives C(x) = prod_j prod_k (1 - x mu_j rho^k)^{-sigma_j}, a convergent
   product on the whole x-plane minus poles.  This is the analytic
-  continuation used for every exchange-relation check.
+  continuation used for every exchange-relation check.  It is evaluated
+  split at the unit circle: the few factors with |x mu lambda| > SPLIT are
+  multiplied out, and the rest of the lattice enters through its power
+  sums, as log prod (1 - y lambda) = -sum_m (y^m / m) sum lambda^m, which
+  converges like SPLIT^m (Gasper-Rahman, Basic Hypergeometric Series,
+  section 1.3).
 
 Each atomic kind's zero modes are one row of :func:`zero_modes`, and M is
 the product of the scalars from moving each X constituent's momentum
@@ -36,6 +41,13 @@ from .heisenberg import OSCILLATOR_CLASS, contraction_log_coeff, zero_mode_reord
 from .qlaurent import LaurentSeries, series_exp
 
 ATOMIC_KINDS = ("S+", "S-", "E", "F")
+
+# ContractionKernel.evaluate multiplies out the factors with |x mu lambda| >
+# SPLIT and sums the rest as their log series to LOG_TERMS terms; the
+# remainder per factor is below SPLIT^(LOG_TERMS + 1) / (1 - SPLIT).
+SPLIT = 0.25
+LOG_TERMS = 32
+LATTICE_FLOOR = 1e-17
 
 
 def zero_modes(kind: str, params: DeformationParams) -> tuple[complex, complex, complex]:
@@ -128,41 +140,80 @@ class ContractionKernel:
             tot += sum(sg * mu**m for sg, mu in g.terms) / den
         return tot / m
 
-    def evaluate(self, x, tol: float = 1e-17):
-        """Fully summed product at x, and min |factor| there (pole guard).
+    def evaluate(self, x):
+        """Fully summed product at x, and how close a factor comes to 0 (pole guard).
 
-        Each term contributes prod_k (1 - x mu rho^k)^{-sigma}.  Per element
-        for an array ``x``.
+        Each term contributes prod_k (1 - y lambda_k)^{-sigma}, y = x mu, over
+        the lattice of :func:`_den_lattice`.  The factors with |y lambda| >
+        ``SPLIT``, a prefix of the sorted lattice, are multiplied out; the rest
+        contribute exp(sigma sum_{m <= LOG_TERMS} y^m P_m / m), where P_m is
+        the sum of their lambda^m (:func:`_tail_sums`).  ``closest`` is the
+        exact min |factor| where that is below 1 - ``SPLIT``, else 1 - ``SPLIT``.
+        Per element for an array ``x``: each point has its own prefix, so its
+        value and guard do not depend on the other points.
         """
         x = np.asarray(x, dtype=complex)
-        out = np.ones_like(x)
-        closest = np.full(x.shape, np.inf)
+        out = np.ones(x.size, dtype=complex)
+        closest = np.full(x.size, 1 - SPLIT)
         for g in self.groups:
-            lat = _den_lattice(g.dens, tol)
-            for sigma, mu in g.terms:
-                f = (x * mu)[..., None] * lat
-                np.subtract(1, f, out=f)  # in place: one points x lattice array less
-                am = np.abs(f).min(-1)
-                if (am == 0.0).any():
-                    raise ZeroDivisionError("contraction product hit an exact pole/zero")
-                closest = np.minimum(closest, am)
-                out *= f.prod(-1) ** (-sigma)
-        return out[()], closest[()]
+            lat = _den_lattice(g.dens)
+            sigma = np.array([s for s, _ in g.terms])[:, None]
+            y = np.multiply.outer([mu for _, mu in g.terms], x.ravel())  # terms x points
+            k = np.searchsorted(SPLIT / np.abs(lat), np.abs(y))  # prefix lengths
+            # the prefixes, padded with exact 1s past each point's own length
+            f = 1 - lat[: k.max(), None, None] * y
+            f[np.arange(len(f))[:, None, None] >= k] = 1
+            am = np.abs(f).min(0, initial=1 - SPLIT)
+            if (am == 0.0).any():
+                raise ZeroDivisionError("contraction product hit an exact pole/zero")
+            closest = np.minimum(closest, am.min(0))
+            head = np.multiply.reduce(f, axis=0)
+            out *= np.multiply.reduce(np.where(sigma > 0, 1 / head, head), axis=0)
+            lengths = np.flatnonzero(np.bincount(k.ravel()))
+            scale, sums = map(np.array, zip(*(_tail_sums(g.dens, int(n)) for n in lengths)))
+            row = np.searchsorted(lengths, k)
+            powers = np.cumprod(np.repeat((y * scale[row])[..., None], LOG_TERMS, -1), -1)
+            out *= np.exp((sigma * (powers * sums[row]).sum(-1)).sum(0))
+        return out.reshape(x.shape)[()], closest.reshape(x.shape)[()]
 
 
 @lru_cache(maxsize=256)
-def _den_lattice(dens: tuple[complex, ...], tol: float) -> np.ndarray:
-    """All products prod rho_t^{k_t} above tol, as a flat array."""
-    lat = np.array([1.0 + 0.0j])
+def _den_lattice(dens: tuple[complex, ...]) -> np.ndarray:
+    """All products prod rho_t^{k_t} above LATTICE_FLOOR, by decreasing modulus.
+
+    The lattice is built in extended precision and rounded once at the end.
+    """
+    ld = np.clongdouble
+    lat = np.ones(1, dtype=ld)
     for rho in dens:
-        powers = []
-        v = 1.0 + 0.0j
-        while abs(v) > tol:
-            powers.append(v)
-            v *= rho
-        lat = np.outer(lat, np.array(powers)).ravel()
-        lat = lat[np.abs(lat) > tol]
+        n = int(np.log(LATTICE_FLOOR) / np.log(abs(rho))) + 1
+        lat = np.outer(lat, np.cumprod(np.r_[1, np.full(n, rho)].astype(ld))).ravel()
+        lat = lat[np.abs(lat) > LATTICE_FLOOR]
+    lat = lat.astype(complex)
+    lat = lat[np.argsort(-np.abs(lat), kind="stable")]
+    lat.flags.writeable = False
     return lat
+
+
+@lru_cache(maxsize=1024)
+def _tail_sums(dens: tuple[complex, ...], k: int) -> tuple[float, np.ndarray]:
+    """(c, s) with s[m-1] = P_m / (m c^m), P_m = sum_{i >= k} lambda_i^m.
+
+    c = |lambda_k| is the largest modulus past the prefix, so |y c| <=
+    ``SPLIT`` wherever k is the prefix length at y and y^m P_m / m =
+    (y c)^m s[m-1] neither overflows nor underflows.  Each sum runs from the
+    small end of the lattice.
+    """
+    tail = _den_lattice(dens)[k:][::-1]
+    c = abs(tail[-1]) if len(tail) else 0.0  # no tail: (y c)^m = 0
+    r = tail / (c or 1.0)
+    s = np.zeros(LOG_TERMS, dtype=complex)
+    power = r.copy()
+    for m in range(1, LOG_TERMS + 1):
+        s[m - 1] = power.sum() / m
+        power *= r
+    s.flags.writeable = False
+    return c, s
 
 
 def _atomic_kernel(
@@ -222,8 +273,8 @@ class OpeResult:
     def evaluate(self, z, w):
         """Monomial times the fully summed prefactor (meromorphic route).
 
-        Also returns the kernel's min |factor| at w/z (pole guard); per
-        element for arrays ``z``, ``w``.
+        Also returns the kernel's pole guard at w/z (``closest`` of
+        :meth:`ContractionKernel.evaluate`); per element for arrays ``z``, ``w``.
         """
         val, closest = self.kernel.evaluate(w / z)
         return self.monomial(z) * val, closest

@@ -441,9 +441,10 @@ def _serre_driver(ctx: VerifierContext, kind: str):
     """Cubic Serre relation through six fully-contracted triple products.
 
     Triples are drawn in batches of as many as a node pair still needs (at
-    most ``n_samples``, which bounds the kernel's points x lattice
-    temporaries), so the draws are those of a one-by-one rejection loop: a
-    skipped triple is replaced, up to 10 attempts per wanted sample.
+    most ``n_samples``; the kernel's temporaries are points x prefix, so the
+    cap is kept only because it fixes the draws), and the draws are those of
+    a one-by-one rejection loop: a skipped triple is replaced, up to 10
+    attempts per wanted sample.
     """
     tol = 1e-7
     adjacent = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]

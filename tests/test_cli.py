@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from screenalg import cli
 from screenalg.cli import RunConfig, context_from_config, main, read_config_file
 from screenalg.verifier import CATALOGUE
 
@@ -13,6 +14,10 @@ def run_cli(args):
 
 
 FAST = ["--order", "40", "--fock-degree", "2", "--fock-window", "2"]
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("the suite ran although the configuration is invalid")
 
 
 class TestExitCodes:
@@ -66,12 +71,27 @@ class TestExitCodes:
         assert "no directory" in captured.err and captured.out == ""
         assert not out.parent.exists()
 
-    def test_unwritable_report_is_an_error(self, tmp_path, capsys):
-        # the path is a directory: the rename fails after the suite has run
+    def test_unwritable_report_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # the path is a directory: rejected before any check runs
+        monkeypatch.setattr(cli, "run_suite", never_called)
         rc = run_cli(["--algebra", "A1", "--relations", "theta", "--quiet", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert os.listdir(tmp_path) == []
+
+    def test_report_directory_without_write_access_rejected_before_the_suite(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # root bypasses permission bits, so the refusal is os.access's
+        out = tmp_path / "r.json"
+        monkeypatch.setattr(cli, "run_suite", never_called)
+        monkeypatch.setattr(
+            cli.os, "access", lambda path, mode: not (path == str(tmp_path) and mode == os.W_OK)
+        )
+        assert run_cli(["--algebra", "A2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "not writable" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_filter_miss_writes_no_report(self, tmp_path, capsys):
         out = tmp_path / "r.json"

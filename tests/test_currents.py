@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from kernel_reference import direct_product, extended_product
 
 from screenalg import (
     closed_form,
@@ -13,6 +14,7 @@ from screenalg import (
     zero_mode_reorder,
     zero_modes,
 )
+from screenalg import currents
 from screenalg.currents import ContractionKernel, KernelGroup, _atomic_kernel
 from screenalg.qlaurent import LaurentSeries, series_exp
 
@@ -95,6 +97,97 @@ class TestContract:
                     assert got == pytest.approx(
                         contraction_log_coeff(kx, ky, a, PR, m), rel=1e-12, abs=1e-15
                     )
+
+
+KINDS = ("S+", "S-", "E", "F", "H+", "H-")
+SLOW = make_params(0.5, 0.9, 1)  # theta bases near 1: the longest lattices
+COMPLEX = make_params(0.2 + 0.1j, 0.5 + 0.3j, 1)
+
+
+def a2_kernels(params):
+    """Every distinct non-trivial contraction kernel on A2 (A_ij = 2 and -1)."""
+    kernels = {
+        contract(current_spec(kx, i, 2, params), current_spec(ky, j, 2, params), A2, params, 10).kernel
+        for kx in KINDS
+        for ky in KINDS
+        for i, j in ((0, 0), (0, 1))
+    }
+    return [k for k in kernels if k.groups]
+
+
+def relative_error(kernel, xs):
+    want = extended_product(kernel, xs)
+    return float(np.max(np.abs(kernel.evaluate(xs)[0] - want) / np.abs(want)))
+
+
+class TestSplitKernel:
+    """The q-product split at |x mu lambda| = SPLIT, against the references."""
+
+    # The exchange rows evaluate x on the sample circle and 1/x.  The float64
+    # rounding of y = x mu alone moves the value by about eps * sum |y lambda|;
+    # at (0.5, 0.9) and radius 2 that sum reaches 400, and the bound is 2e-14
+    # there (the direct product reads 1.6e-13).
+    @pytest.mark.parametrize(
+        "params, radius, bound",
+        [
+            (PR, 0.5, 1e-14), (PR, 2.0, 1e-14),
+            (WIDE, 0.5, 1e-14), (WIDE, 2.0, 1e-14),
+            (SLOW, 0.5, 1e-14), (SLOW, 2.0, 2e-14),
+            (COMPLEX, 0.5, 1e-14), (COMPLEX, 2.0, 1e-14),
+        ],
+    )
+    def test_every_a2_kernel_matches_the_extended_product(self, params, radius, bound):
+        for kernel in a2_kernels(params):
+            assert relative_error(kernel, circle(16, radius)) <= bound, kernel
+
+    @pytest.mark.parametrize("params", [PR, COMPLEX])
+    def test_far_from_the_origin(self, params):
+        # |x mu| up to 30 covers the 1/x side of every series-route row at the
+        # defaults (|x mu| reaches 22.2 on E8)
+        for kernel in a2_kernels(params):
+            mu_max = max(abs(mu) for g in kernel.groups for _, mu in g.terms)
+            for reach in (3.0, 10.0, 30.0):
+                assert relative_error(kernel, circle(16, reach / mu_max)) <= 1e-14, kernel
+
+    @pytest.mark.parametrize("constant, value", [("LOG_TERMS", 16), ("SPLIT", 0.5)])
+    def test_a_shorter_log_series_fails_the_bound(self, monkeypatch, constant, value):
+        # the tail's truncation is below rounding at SPLIT = 1/4, LOG_TERMS = 32;
+        # halving the terms or doubling the split leaves about 5e-12 per factor
+        monkeypatch.setattr(currents, constant, value)
+        currents._tail_sums.cache_clear()
+        try:
+            worst = max(relative_error(k, circle(16, 2.0)) for k in a2_kernels(WIDE))
+        finally:
+            currents._tail_sums.cache_clear()
+        assert worst > 1e-14
+
+    @pytest.mark.parametrize("params", [PR, WIDE])
+    def test_matches_the_direct_product(self, params):
+        # the direct product is the oracle: values agree to its own rounding,
+        # and closest is its min |factor| wherever that is below 1 - SPLIT
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0.2, 5.0, 64) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+        for kernel in a2_kernels(params):
+            got, closest = kernel.evaluate(xs)
+            want, want_closest = direct_product(kernel, xs)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+            floor = np.minimum(want_closest, 1 - currents.SPLIT)
+            assert np.allclose(closest, floor, rtol=1e-12, atol=0)
+
+    # poles at x = 2 * 4^k: y = x / 2 and lambda = 4^-k are exact in binary
+    POLES = ContractionKernel((KernelGroup(((1, 0.5 + 0j),), (0.25 + 0j,)),))
+
+    def test_a_point_on_a_pole_raises(self):
+        for x in (2.0, 8.0, np.array([0.5, 8.0, 1j])):
+            with pytest.raises(ZeroDivisionError):
+                self.POLES.evaluate(x)
+
+    def test_a_point_near_a_pole_is_guarded(self):
+        xs = np.array([0.5, 8.0 * (1 + 1e-12), 3.0j])
+        _, closest = self.POLES.evaluate(xs)
+        assert closest[0] == 1 - currents.SPLIT  # no factor in the prefix
+        assert closest[1] == pytest.approx(1e-12, rel=1e-3) and closest[1] < 1e-9
+        assert closest[2] > 1e-9
 
 
 def per_pair_series(spec_x, spec_y, cartan, order):
