@@ -150,7 +150,8 @@ class ContractionKernel:
         the sum of their lambda^m (:func:`_tail_sums`).  ``closest`` is the
         exact min |factor| where that is below 1 - ``SPLIT``, else 1 - ``SPLIT``.
         Per element for an array ``x``: each point has its own prefix, so its
-        value and guard do not depend on the other points.
+        guard does not depend on the other points, and its value only by
+        rounding (the reductions run over the whole array).
         """
         x = np.asarray(x, dtype=complex)
         out = np.ones(x.size, dtype=complex)

@@ -8,7 +8,7 @@ finitely many negative powers).
 
 The formal distribution delta(x) = sum_{n in Z} x^n enters as the
 difference between the inner and outer expansion of a rational function;
-:func:`delta_extract` recovers its support points and weights.
+:func:`delta_extract` fits its weights at candidate support points.
 """
 
 from __future__ import annotations
@@ -193,16 +193,10 @@ def series_exp(logseries: LaurentSeries) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class DeltaComb:
-    """Finite sum sum_t weight_t * delta(x / support_t), and the fit's residual."""
+    """sum_t weights[t] * delta(x / support_t) over the candidate supports, and the fit's residual."""
 
-    terms: tuple[tuple[complex, complex], ...]  # (support, weight)
+    weights: tuple[complex, ...]
     residual: float
-
-    def weight_at(self, support: complex, atol: float = 1e-9) -> complex:
-        for s, w in self.terms:
-            if abs(s - support) <= atol * max(1.0, abs(support)):
-                return w
-        return 0.0 + 0.0j
 
 
 def delta_extract(
@@ -210,7 +204,6 @@ def delta_extract(
     f_outer: LaurentSeries,
     candidate_poles: Sequence[complex],
     window: tuple[int, int],
-    tol: float = 1e-8,
 ) -> DeltaComb:
     """Match inner-minus-outer expansion coefficients to a finite delta comb.
 
@@ -219,9 +212,9 @@ def delta_extract(
     fitted to sum_t w_t x_t^{-k} over the caller-supplied candidate poles x_t,
     for the exponents k in ``window`` = (lo, hi).  Rows are rescaled before
     the least-squares solve because the model columns grow geometrically in
-    |k|.  The comb is returned whatever its relative ``residual``; the
-    caller judges it.  ``tol`` only drops the terms whose weight is
-    negligible.
+    |k|.  One weight is returned per candidate pole, in the caller's order
+    (about 0 where the difference has no delta), with the relative
+    ``residual`` of the fit whatever its size; the caller judges both.
     """
     lo, hi = window
     if hi < lo:
@@ -258,11 +251,4 @@ def delta_extract(
         float(np.max(np.abs(w), initial=0.0)),
         1e-300,
     )
-    residual = float(np.max(profile)) / scale
-    wscale = max(float(np.max(np.abs(w), initial=0.0)), 1e-300)
-    terms = tuple(
-        (poles[t], complex(w[t]))
-        for t in range(len(poles))
-        if abs(w[t]) > max(tol * wscale, tol * scale)
-    )
-    return DeltaComb(terms=terms, residual=residual)
+    return DeltaComb(weights=tuple(map(complex, w)), residual=float(np.max(profile)) / scale)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -278,3 +279,23 @@ class TestPinnedReport:
             assert g.pop("max_residual") == pytest.approx(w.pop("max_residual"), rel=0, abs=1e-14)
             assert g == w, g["relation"]
         assert got == want
+
+    def test_the_check_names_each_differing_field(self, capsys):
+        # regenerate.py --check prints row, field, old -> new per differing
+        # field; here against a copy of the pinned report with three edits
+        path = Path(__file__).parent / "data" / "regenerate.py"
+        spec = importlib.util.spec_from_file_location("regenerate", path)
+        regenerate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regenerate)
+        name = "a2_default_report.json"
+        report = json.loads((regenerate.HERE / name).read_text())
+        assert regenerate.check(name, report) == 0
+        row = report["checks"][2]
+        old = row["max_residual"]
+        report["order"], row["max_residual"], row["details"]["x"] = 81, 0.5, 1
+        assert regenerate.check(name, report) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: report, order, 80 -> 81",
+            f"{name}: Eq7-SpSp-exchange, details.x, None -> 1",
+            f"{name}: Eq7-SpSp-exchange, max_residual, {old!r} -> 0.5",
+        ]

@@ -174,6 +174,25 @@ class TestSplitKernel:
             floor = np.minimum(want_closest, 1 - currents.SPLIT)
             assert np.allclose(closest, floor, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("params", [PR, WIDE, SLOW])
+    def test_a_point_reads_its_guard_alone_and_its_value_to_rounding(self, params):
+        # each point has its own prefix, so closest does not depend on the
+        # other points of its array and batching never moves a skip count;
+        # the value moves by rounding (up to 1.8e-15 relative here), as the
+        # reductions run over arrays of another shape
+        d4 = make_cartan("D", 4)
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(0.2, 5.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+        for kx in KINDS:
+            for ky in KINDS:
+                for j in (0, 1, 2):  # A_0j = 2, -1, 0
+                    spec_x, spec_y = current_spec(kx, 0, 4, params), current_spec(ky, j, 4, params)
+                    kernel = contract(spec_x, spec_y, d4, params, 10).kernel
+                    vals, closest = kernel.evaluate(xs)
+                    one = [kernel.evaluate(x) for x in xs]
+                    assert np.array_equal(closest, [c for _, c in one])
+                    assert np.all(np.abs(vals - [v for v, _ in one]) <= 1e-14 * np.abs(vals))
+
     # poles at x = 2 * 4^k: y = x / 2 and lambda = 4^-k are exact in binary
     POLES = ContractionKernel((KernelGroup(((1, 0.5 + 0j),), (0.25 + 0j,)),))
 

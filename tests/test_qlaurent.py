@@ -221,24 +221,25 @@ class TestDeltaExtract:
         inner = LaurentSeries.from_coeff_map({k: 1.0 for k in range(order + 1)}, order)
         outer = LaurentSeries.from_coeff_map({-n: -1.0 for n in range(1, order + 1)}, 0)
         comb = delta_extract(inner, outer, [1.0], window=(-25, 25))
-        assert len(comb.terms) == 1
-        assert comb.terms[0][0] == 1.0
-        assert comb.terms[0][1] == pytest.approx(1.0)
+        assert len(comb.weights) == 1
+        assert comb.weights[0] == pytest.approx(1.0)
 
     def test_two_pole_weights(self):
         a, b = 0.4, 0.7
         inner, outer = expand_inner_outer(a, b)
-        comb = delta_extract(inner, outer, [1 / a, 1 / b], window=(-20, 20))
+        # one weight per candidate, in the caller's order; 2.0 carries no delta
+        comb = delta_extract(inner, outer, [1 / b, 2.0, 1 / a], window=(-20, 20))
         # oracle: partial fractions 1/((1-xa)(1-xb)) = w1/(1-xa) + w2/(1-xb)
         w1, w2 = a / (a - b), -b / (a - b)
-        assert comb.weight_at(1 / a) == pytest.approx(w1, rel=1e-9)
-        assert comb.weight_at(1 / b) == pytest.approx(w2, rel=1e-9)
+        assert comb.weights[0] == pytest.approx(w2, rel=1e-9)
+        assert abs(comb.weights[1]) < 1e-9
+        assert comb.weights[2] == pytest.approx(w1, rel=1e-9)
         assert comb.residual < 1e-9
 
     def test_equal_series_empty_comb(self):
         s = LaurentSeries.from_coeff_map({0: 1.0, 1: 0.5}, 20)
         comb = delta_extract(s, s, [0.5], window=(-5, 5))
-        assert comb.terms == ()
+        assert comb.weights == (0.0,) and comb.residual == 0.0
 
     def test_not_a_comb_diagnostic(self):
         a, b = 0.4, 0.7
@@ -256,5 +257,4 @@ class TestDeltaExtract:
             return
         inner, outer = expand_inner_outer(a, b)
         comb = delta_extract(inner, outer, [1 / a, 1 / b], window=(-18, 18))
-        assert comb.weight_at(1 / a) == pytest.approx(a / (a - b), rel=1e-9, abs=1e-9)
-        assert comb.weight_at(1 / b) == pytest.approx(-b / (a - b), rel=1e-9, abs=1e-9)
+        assert comb.weights == pytest.approx((a / (a - b), -b / (a - b)), rel=1e-9, abs=1e-9)
