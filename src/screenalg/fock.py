@@ -13,17 +13,18 @@ a_i[0] acts on |lam> with eigenvalue beta * (A lam)_i, so E/F/H modes carry
 integer indices within a sector.  X[n] is the coefficient of z^{-n} in X(z);
 the zero modes contribute z^{off}, off = (A lam)_i times the summed charges
 +-1 of X's E/F constituents, so X[n] maps degree g to the single degree
-g - n - off.  Complete-mode contract: with caps (src_cap, tgt_cap) a mode is
-returned iff its degree shift is at most tgt_cap - src_cap, and then with its
-exact block for every source degree up to src_cap; no returned mode is
-truncated.
+g - n - off.  Complete-mode contract: a current applied to columns of source
+degrees up to src_cap, with target cap tgt_cap, returns a mode iff its
+degree shift is at most tgt_cap - src_cap, and then with its exact block for
+every source degree given; no returned mode is truncated.
 
 Composed products are built by application on output columns.  The
-commutator check stacks the blocks of F's window modes per target degree
-and applies E to those columns alone, and F to E's the same way; 0/1
-column selectors then read E[m] F[n] off through blocks_compose.  The
-second current never acts on the whole middle sector, and its modes are
-not cached.
+commutator check takes the identity columns of degrees 0..cap in chunks of
+bounded width, stacks the blocks of F's window modes per target degree and
+applies E to those columns alone, and F to E's the same way; 0/1 column
+selectors then read E[m] F[n] off through blocks_compose.  Columns never
+mix, so each row's largest difference and scale are maxima over the chunks,
+and nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -142,29 +143,28 @@ def _stack_outputs(modes: dict[int, Blocks], window: int):
     return cols, selectors
 
 
-def _accumulate(store: dict, key, col: int, x: np.ndarray) -> None:
-    """store[key] += x over source columns col..; values are (col, matrix, owned).
+def _column_chunks(rank: int, cap: int, width: int):
+    """The identity columns of degrees 0..cap in graded order, `width` at a time.
 
-    A first piece is stored as given, since its recursion may still read it,
-    and is copied into a fresh sum only when a second piece arrives.
+    Each chunk maps source degrees to blocks of their identity's columns, so
+    one chunk may span several degrees.
     """
-    if key not in store:
-        store[key] = (col, x, False)
-        return
-    c0, y, owned = store[key]
-    lo, hi = min(c0, col), max(c0 + y.shape[1], col + x.shape[1])
-    if not owned or (lo, hi) != (c0, c0 + y.shape[1]):
-        wider = np.zeros((y.shape[0], hi - lo), dtype=complex)
-        wider[:, c0 - lo : c0 - lo + y.shape[1]] = y
-        c0, y = lo, wider
-    y[:, col - c0 : col - c0 + x.shape[1]] += x
-    store[key] = (c0, y, True)
+    cols = [(d, k) for d in range(cap + 1) for k in range(len(states_of_degree(rank, d)))]
+    for a in range(0, len(cols), width):
+        yield {
+            d: np.eye(len(states_of_degree(rank, d)))[:, [k for _, k in group]]
+            for d, group in itertools.groupby(cols[a : a + width], key=lambda c: c[0])
+        }
 
 
 # Commutator rows below SCALE_FLOOR times the largest scale in their sector
 # hold rounding noise only (on A1/A2, caps <= 3: noise near 1e-17 of the
 # maximum, all other rows above 1e-4), so they are divided by the floor.
 SCALE_FLOOR = 1e-6
+
+# The commutator check applies the currents to at most this many bytes of
+# columns at its largest target degree, cap + 2W + 2, at a time.
+CHUNK_BYTES = 32 << 20
 
 
 class FockSpace:
@@ -175,7 +175,6 @@ class FockSpace:
         self.params = params
         self.rank = cartan.rank
         self.table = ModeBracketTable(cartan, params)
-        self._modes_cache: dict = {}
         self._gathers: dict = {}  # (node, m, target degree) -> [(index map, weights)]
 
     def _merged_legs(self, specs_vars) -> list[tuple[int, int, object]]:
@@ -225,43 +224,41 @@ class FockSpace:
         for idx, w in self._gathers[key]:
             out += (coeff * w) * x[idx]
 
-    def _exp_parts(self, node: int, kappa, sign: int, degree: int, col0: int, x, first_col):
-        """(k, col, h_k): degree-k parts of exp(sum_{m>0} kappa(-sign m) a_node[-sign m]) x.
+    def _exp_parts(self, node: int, kappa, sign: int, degree: int, x, top: int):
+        """(k, h_k): degree-k parts of exp(sum_{m>0} kappa(-sign m) a_node[-sign m]) x.
 
         sign +1 takes the creators a[-m], sign -1 the annihilators a[m]; x
-        holds source columns col0.. at `degree` and h_k sits at degree + sign k.
-        Creation drops the columns before first_col(degree + k): no returned
-        block reads them.
+        holds columns at `degree`, and h_k sits at degree + sign k, from 0
+        up to `top`.
         """
         parts = []
         for k in itertools.count():
             t = degree + sign * k
-            col = col0 if first_col is None else max(col0, first_col(t))
-            if t < 0 or col >= col0 + x.shape[1]:
+            if not 0 <= t <= top:
                 return
-            h = x[:, col - col0 :]
+            h = x
             if k:
-                h = np.zeros((len(states_of_degree(self.rank, t)), h.shape[1]), dtype=complex)
+                h = np.zeros((len(states_of_degree(self.rank, t)), x.shape[1]), dtype=complex)
                 for m in range(1, k + 1):
-                    c_prev, prev = parts[k - m]
                     coeff = m * kappa(-sign * m) / k
                     if sign < 0:
-                        self._lower_into(h, coeff, node, m, prev[:, col - c_prev :], t + m)
+                        self._lower_into(h, coeff, node, m, parts[k - m], t + m)
                     else:
-                        h[_raise_map(self.rank, node, m, t - m)] += coeff * prev[:, col - c_prev :]
-            parts.append((col, h))
-            yield k, col, h
+                        h[_raise_map(self.rank, node, m, t - m)] += coeff * parts[k - m]
+            parts.append(h)
+            yield k, h
 
-    def _apply(self, specs_vars, lam, src_cap: int, tgt_cap: int, cols=None):
+    def _apply(self, specs_vars, lam, src, tgt_cap: int):
         """Normal-ordered product of one or two currents (variables z, w) on sector lam.
 
         Returns (target_sector, offsets, modes), modes mapping a tuple of mode
-        indices, one per variable, to the Blocks of a complete mode.  Terms
-        are keyed by (z-power, degree) over source columns; for a pair the
-        w-power is read off at the end as target - source degree - z-power.
-        ``cols`` maps source degrees up to src_cap to the columns the product
-        acts on; by default every degree's identity, so that each block is
-        the mode's matrix.
+        indices, one per variable, to the Blocks of a complete mode.  ``src``
+        maps source degrees to the columns the product acts on, or is a
+        source cap, meaning every degree's identity up to it, so that each
+        block is the mode's matrix.  Each source degree g is applied on its
+        own, with terms keyed by (z-power, degree); for a pair the w-power
+        is read off at the end as target - g - z-power.  Creation stops at
+        degree g + tgt_cap - max(src): no returned block reaches past it.
         """
         lam = tuple(int(x) for x in lam)
         n_vars = 1 + max(var for _, var in specs_vars)
@@ -273,55 +270,36 @@ class FockSpace:
             scalar *= s
             off[var] += o
             tgt[spec.node] += charge
-        if cols is None:
-            cols = {d: np.eye(len(states_of_degree(self.rank, d))) for d in range(src_cap + 1)}
-        widths = (cols[d].shape[1] if d in cols else 0 for d in range(src_cap + 1))
-        starts = list(itertools.accumulate(widths, initial=0))
-        span = tgt_cap - src_cap
-
-        def first_col(t: int) -> int:  # blocks reaching degree t start at source degree t - span
-            return starts[min(max(t - span, 0), src_cap + 1)]
-
-        # all source degrees at once, as the columns of one graded matrix
-        terms = {(0, d): (starts[d], scalar * x, False) for d, x in cols.items()}
+        if not isinstance(src, dict):
+            src = {d: np.eye(len(states_of_degree(self.rank, d))) for d in range(src + 1)}
+        span = tgt_cap - max(src, default=0)
         legs = self._merged_legs(specs_vars)
-        for sign in (-1, 1):  # annihilators act first, then creators
-            trim = first_col if sign > 0 else None
-            for node, var, kappa in legs:
-                out: dict = {}
-                for (zd, d), (col0, x, _) in terms.items():
-                    for k, col, h in self._exp_parts(node, kappa, sign, d, col0, x, trim):
-                        key = (zd + sign * k if var < n_vars - 1 else zd, d + sign * k)
-                        _accumulate(out, key, col, h)
-                terms = out
         modes: dict[tuple[int, ...], Blocks] = {}
-        for (zd, t), (col, x, _) in terms.items():
-            for g in range(starts.index(col), src_cap + 1):
-                block = x[:, starts[g] - col : starts[g + 1] - col]
-                if block.size and block.any():
+        for g, x in src.items():
+            terms = {(0, g): scalar * x}
+            for sign, top in ((-1, g), (1, g + span)):  # annihilators act first, then creators
+                for node, var, kappa in legs:
+                    out: dict = {}
+                    for (zd, d), y in terms.items():
+                        for k, h in self._exp_parts(node, kappa, sign, d, y, top):
+                            key = (zd + sign * k if var < n_vars - 1 else zd, d + sign * k)
+                            out[key] = out[key] + h if key in out else h
+                    terms = out
+            for (zd, t), block in terms.items():
+                if block.any():
                     powers = (zd, t - g - zd)[2 - n_vars :]  # (z, w) or (z,)
                     key = tuple(-(e + o) for e, o in zip(powers, off))
                     modes.setdefault(key, {})[g] = (t, block)
         return tuple(tgt), tuple(off), modes
 
-    def sector_modes(self, spec: CurrentSpec, lam, src_cap: int, tgt_cap: int):
-        """(target_sector, offset, dict[n] -> Blocks) for one current.
+    def sector_modes(self, spec: CurrentSpec, lam, src, tgt_cap: int):
+        """(target_sector, offset, dict[n] -> Blocks) for one current; ``src`` as for _apply."""
+        tgt, offs, modes = self._apply([(spec, 0)], lam, src, tgt_cap)
+        return tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()}
 
-        E and F modes are cached, since every node pair of the commutator
-        check reads them; H+- modes are read by one node pair and are not.
-        """
-        key = (spec.kind, spec.node, tuple(int(x) for x in lam), src_cap, tgt_cap)
-        out = self._modes_cache.get(key)
-        if out is None:
-            tgt, offs, modes = self._apply([(spec, 0)], lam, src_cap, tgt_cap)
-            out = (tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()})
-            if spec.kind in ("E", "F"):
-                self._modes_cache[key] = out
-        return out
-
-    def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src_cap: int, tgt_cap: int):
-        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):; not cached."""
-        return self._apply([(spec_x, 0), (spec_y, 1)], lam, src_cap, tgt_cap)
+    def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src, tgt_cap: int):
+        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):."""
+        return self._apply([(spec_x, 0), (spec_y, 1)], lam, src, tgt_cap)
 
     # -- public operations -------------------------------------------------------
 
@@ -349,43 +327,41 @@ class FockSpace:
         alpha_i = np.eye(self.rank, dtype=int)[i]
         alpha_j = np.eye(self.rank, dtype=int)[j]
         qh, pqh = params.q_half, params.pq_half
+        hp, hm = (current_spec(kind, i, self.rank, params) for kind in ("H+", "H-"))
+        pairs = list(itertools.product(range(-window, window + 1), repeat=2))
+        top_dim = len(states_of_degree(self.rank, cap + 2 * window + 2))
+        width = max(CHUNK_BYTES // (16 * top_dim), 1)  # columns per chunk
 
-        def complete(spec, sector, src_cap, reach):
-            """(tgt_cap, modes): X[n], n >= -reach, maps g <= src_cap to g - n - off."""
-            tgt_cap = max(src_cap + reach - self._zero_mode(spec, sector)[1], 0)
-            return tgt_cap, self.sector_modes(spec, sector, src_cap, tgt_cap)[2]
-
-        def applied(spec, sector, src_cap, inner):
-            """X[m], |m| <= W, on the output columns of inner's window modes; uncached."""
-            cols, selectors = _stack_outputs(inner, window)
-            tgt_cap = max(src_cap + window - self._zero_mode(spec, sector)[1], 0)
-            modes = self._apply([(spec, 0)], sector, src_cap, tgt_cap, cols)[2]
-            return {m: modes.get((m,), {}) for m in range(-window, window + 1)}, selectors
+        def complete(spec, sector, src, reach):
+            """X[n], n >= -reach, on the columns src: maps degree g to g - n - off."""
+            tgt_cap = max(max(src, default=0) + reach - self._zero_mode(spec, sector)[1], 0)
+            return self.sector_modes(spec, sector, src, tgt_cap)[2]
 
         rows, vacuous = [], 0
         for lam in sectors:
             lam = tuple(int(x) for x in lam)
             lam_e = tuple(int(x) for x in np.asarray(lam) - alpha_j)  # E acts after F
             lam_f = tuple(int(x) for x in np.asarray(lam) + alpha_i)  # F acts after E
-            top_f, f_modes = complete(spec_b, lam, cap, window)
-            top_e, e_modes = complete(spec_a, lam, cap, window)
-            e_on_f, f_sel = applied(spec_a, lam_e, top_f, f_modes)
-            f_on_e, e_sel = applied(spec_b, lam_f, top_e, e_modes)
-            b_modes: dict = {}  # no :E F: term at A_ij = 0
-            if i == j:  # H[m + n - 2] reaches mode -2W - 2
-                hp = current_spec("H+", i, self.rank, params)
-                hm = current_spec("H-", i, self.rank, params)
-                _, hp_modes = complete(hp, lam, cap, 2 * window + 2)
-                _, hm_modes = complete(hm, lam, cap, 2 * window + 2)
-            elif a_ij == -1:  # B[m', n'] reaches m' + n' = 1 - 2W
-                offs = self._zero_mode(spec_a, lam)[1] + self._zero_mode(spec_b, lam)[1]
-                tgt_cap = max(cap + 2 * window - 1 - offs, 0)
-                _, _, b_modes = self.pair_modes(spec_a, spec_b, lam, cap, tgt_cap)
-            sector_rows = []
-            for m in range(-window, window + 1):
-                for n in range(-window, window + 1):
-                    ef = blocks_compose(e_on_f[m], f_sel.get(n, {}))
-                    fe = blocks_compose(f_on_e[n], e_sel.get(m, {}))
+            # each (m, n) row's largest |diff| and scale over the columns:
+            # a max over column chunks is the max over the sector's columns
+            err, scale = dict.fromkeys(pairs, 0.0), dict.fromkeys(pairs, 0.0)
+            for chunk in _column_chunks(self.rank, cap, width):
+                # E acts on F's output columns and F on E's, never on the whole middle sector
+                f_cols, f_sel = _stack_outputs(complete(spec_b, lam, chunk, window), window)
+                e_cols, e_sel = _stack_outputs(complete(spec_a, lam, chunk, window), window)
+                e_on_f = complete(spec_a, lam_e, f_cols, window)
+                f_on_e = complete(spec_b, lam_f, e_cols, window)
+                b_modes: dict = {}  # no :E F: term at A_ij = 0
+                if i == j:  # H[m + n - 2] reaches mode -2W - 2
+                    hp_modes = complete(hp, lam, chunk, 2 * window + 2)
+                    hm_modes = complete(hm, lam, chunk, 2 * window + 2)
+                elif a_ij == -1:  # B[m', n'] reaches m' + n' = 1 - 2W
+                    offs = self._zero_mode(spec_a, lam)[1] + self._zero_mode(spec_b, lam)[1]
+                    tgt_cap = max(max(chunk) + 2 * window - 1 - offs, 0)
+                    b_modes = self.pair_modes(spec_a, spec_b, lam, chunk, tgt_cap)[2]
+                for m, n in pairs:
+                    ef = blocks_compose(e_on_f.get(m, {}), f_sel.get(n, {}))
+                    fe = blocks_compose(f_on_e.get(n, {}), e_sel.get(m, {}))
                     if i == j:
                         w_p = qh ** (m - n) / (params.p - 1)
                         w_m = -((1 / pqh) ** (m - n)) / (params.p - 1)
@@ -396,14 +372,15 @@ class FockSpace:
                         parts = [(2 * pqh, b1), (-2 * qh, b2)]
                     rhs = blocks_linear(parts)
                     diff = blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
-                    scale = max(blocks_max_abs(ef), blocks_max_abs(fe), blocks_max_abs(rhs))
-                    sector_rows.append(((lam, m, n), blocks_max_abs(diff), scale))
+                    err[m, n] = max(err[m, n], blocks_max_abs(diff))
+                    scale[m, n] = max(scale[m, n], *(blocks_max_abs(b) for b in (ef, fe, rhs)))
             # rounding noise scales with the largest entries of the sector's
             # check; a row whose own scale is below that floor compares nothing
-            floor = SCALE_FLOOR * max((s for *_, s in sector_rows), default=0.0)
-            for where, err, scale in sector_rows:
-                vacuous += scale <= floor
-                rows.append((where, err / max(scale, floor) if err else 0.0, scale))
+            floor = SCALE_FLOOR * max(scale.values())
+            for m, n in pairs:
+                vacuous += scale[m, n] <= floor
+                res = err[m, n] / max(scale[m, n], floor) if err[m, n] else 0.0
+                rows.append(((lam, m, n), res, scale[m, n]))
         max_res = max((r for _, r, _ in rows), default=0.0)
         return CommutatorReport(residuals=rows, max_residual=max_res, vacuous=vacuous)
 

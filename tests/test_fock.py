@@ -154,22 +154,57 @@ class TestCommutator:
         assert rep.vacuous == len(rep.residuals) == 25
         assert rep.max_residual == 0.0
 
-    def test_node_pair_modes_are_dropped_after_their_check(self):
-        # H+-_i and :E_i F_j: are read by node pair (i, j) alone and are not
-        # cached; E and F modes are read by the other node pairs too and stay cached
-        fs = FockSpace(A2, PR)
-        for i, j, a_ij in A2.node_pairs():
-            e_i, f_j = current_spec("E", i, 2, PR), current_spec("F", j, 2, PR)
-            rep = fs.commutator_check(e_i, f_j, [(0, 0)], 3, 3)
-            assert rep.max_residual < 1e-8
-            kinds = {key[0] for key in fs._modes_cache}
-            assert kinds == {"E", "F"}, (i, j, a_ij, kinds)
-
     def test_kind_pair_enforced(self):
         fs = FockSpace(A1, PR)
         e0 = current_spec("E", 0, 1, PR)
         with pytest.raises(ValueError, match=r"\(E, F\)"):
             fs.commutator_check(e0, e0, [(0,)], 2, 2)
+
+
+CHUNK_CASES = [(A2, lam, 3) for lam in [(0, 0), (1, 0), (1, 1)]]
+CHUNK_CASES += [(A2, (2, -1), 2), (A3, (0, 0, 0), 2)]  # on (2, -1) E_0 and F_1 stack no columns
+
+
+@pytest.mark.parametrize(
+    "cartan,lam,cap", CHUNK_CASES, ids=[f"A{c.rank}-{lam}" for c, lam, _ in CHUNK_CASES]
+)
+def test_chunk_width_does_not_change_the_check(cartan, lam, cap, monkeypatch):
+    """Columns never mix, so residuals and vacuous counts are bit-identical at any width."""
+    r, window = cartan.rank, 2
+    dim = len(states_of_degree(r, cap + 2 * window + 2))
+    widths = []
+    chunks = fock._column_chunks
+
+    def recorded(rank, cap, width):
+        widths.append(width)
+        return chunks(rank, cap, width)
+
+    monkeypatch.setattr(fock, "_column_chunks", recorded)
+    for i, j, _ in cartan.node_pairs():
+        e, f = current_spec("E", i, r, PR), current_spec("F", j, r, PR)
+        reports = []
+        for width in (1, 2, 5, sector_dimension(r, cap)):
+            monkeypatch.setattr(fock, "CHUNK_BYTES", 16 * dim * width)
+            reports.append(FockSpace(cartan, PR).commutator_check(e, f, [lam], cap, window))
+            assert widths[-1] == width
+        assert reports[-1].max_residual < 1e-8, (i, j)
+        for rep in reports[:-1]:
+            assert rep.residuals == reports[-1].residuals, (i, j)
+            assert rep.vacuous == reports[-1].vacuous, (i, j)
+
+
+@pytest.mark.parametrize("cartan,cap", [(A2, 3), (make_cartan("D", 4), 3)], ids=["A2", "D4"])
+@pytest.mark.parametrize("width", [1, 2, 7, 10_000])
+def test_column_chunks_cover_every_identity_column_once_in_graded_order(cartan, cap, width):
+    r = cartan.rank
+    seen = []
+    for chunk in fock._column_chunks(r, cap, width):
+        assert 0 < sum(x.shape[1] for x in chunk.values()) <= width
+        for d, x in chunk.items():
+            assert x.shape[0] == len(states_of_degree(r, d))
+            assert set(np.unique(x)) <= {0.0, 1.0} and (x.sum(axis=0) == 1).all()
+            seen += [(d, int(k)) for k in np.argmax(x, axis=0)]
+    assert seen == [(d, k) for d in range(cap + 1) for k in range(len(states_of_degree(r, d)))]
 
 
 def _reference_modes(fs, specs_vars, lam, src_cap, tgt_cap):
@@ -275,37 +310,37 @@ class TestCommutatorMutants:
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
     def test_one_hplus_entry_fails(self, cartan, monkeypatch):
-        # H+ modes are not cached, so the edit is made on the H+_0 modes the
-        # check reads (reach 2W + 2) as sector_modes returns them: the
-        # largest entry of H+[-2], the mode of the rows m + n = 0
+        # the edit is made on the H+_0 modes the check reads (reach 2W + 2)
+        # as sector_modes returns them: the largest entry of H+[-2], the
+        # mode of the rows m + n = 0
         sector_modes = FockSpace.sector_modes
         edited = []
 
-        def one_entry_scaled(self, spec, *args):
-            out = sector_modes(self, spec, *args)
+        def one_entry_scaled(self, spec, lam, src, tgt_cap):
+            out = sector_modes(self, spec, lam, src, tgt_cap)
             if (spec.kind, spec.node) == ("H+", 0):
                 blocks = [b for _, b in out[2][-2].values()]
                 block = max(blocks, key=lambda b: np.max(np.abs(b)))
                 block[np.unravel_index(np.argmax(np.abs(block)), block.shape)] *= 1 + 1e-6
-                edited.append(args)
+                edited.append((lam, set(src), tgt_cap))
             return out
 
         monkeypatch.setattr(FockSpace, "sector_modes", one_entry_scaled)
         assert _same_node_residual(cartan) > self.TOL_FOCK
-        assert edited == [((0,) * cartan.rank, 3, 3 + 8)]
+        assert {(lam, tgt_cap) for lam, _, tgt_cap in edited} == {((0,) * cartan.rank, 3 + 8)}
+        assert set().union(*(degrees for _, degrees, _ in edited)) == {0, 1, 2, 3}
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
     def test_dropped_f_column_group_fails(self, cartan, monkeypatch):
+        # F[0]'s columns from source degree 0 never reach the stack that E acts on
         r = cartan.rank
-        fs = FockSpace(cartan, PR)
-        f = current_spec("F", 0, r, PR)
-        f_modes = fs.sector_modes(f, (0,) * r, 3, 3 + 3)[2]  # the modes the check reads
-        stack = fock._stack_outputs
+        sector_modes = FockSpace.sector_modes
 
-        def without_f0_on_vacuum(modes, window):
-            if modes is f_modes:  # F[0]'s columns from source degree 0 never reach R_t
+        def without_f0_on_vacuum(self, spec, lam, src, tgt_cap):
+            tgt, off, modes = sector_modes(self, spec, lam, src, tgt_cap)
+            if spec.kind == "F" and lam == (0,) * r:  # F first, not F on E's outputs
                 modes = {**modes, 0: {g: b for g, b in modes[0].items() if g != 0}}
-            return stack(modes, window)
+            return tgt, off, modes
 
-        monkeypatch.setattr(fock, "_stack_outputs", without_f0_on_vacuum)
-        assert _same_node_residual(cartan, fs) > self.TOL_FOCK
+        monkeypatch.setattr(FockSpace, "sector_modes", without_f0_on_vacuum)
+        assert _same_node_residual(cartan) > self.TOL_FOCK
