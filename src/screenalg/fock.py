@@ -3,11 +3,14 @@
 Basis states are momentum vectors lam (root-lattice coordinates) dressed
 with one partition per node, ``prod_k a_i[-m_k] |lam>``, ordered by degree.
 Operators act on degree blocks of source columns and come from commutators
-alone, so no inner-product convention enters: a_i[-m] is an injective index
-map from degree d to d + m, and a_i[m] a gather through the neighbours'
-maps weighted by multiplicity times the bracket b(A_ij, m).  Exponentials
-are never formed as matrices; their homogeneous parts act on the columns
-through the Newton recursion k h_k = sum_m m kappa(m) a[m] h_{k-m}.
+alone, so no inner-product convention enters.  Creators on a node commute,
+so exp(sum_m kappa(-m) a_i[-m]) inserts each partition mu at node i with
+weight prod_m kappa(-m)^{k_m} / k_m!, the power-sum expansion of a
+plethystic exponential (Macdonald, Symmetric Functions, ch. I 2).  a_i[m]
+is b(A_ij, m) d/da_j[-m] on each neighbour j, so the annihilators'
+exponential is a translation: it removes nu at j with weight
+prod_m C(n_m, nu_m) (kappa(m) b(A_ij, m))^{nu_m}.  Both act on a source
+degree through one precomputed index map (_leg_map) composed of raise maps.
 
 a_i[0] acts on |lam> with eigenvalue beta * (A lam)_i, so E/F/H modes carry
 integer indices within a sector.  X[n] is the coefficient of z^{-n} in X(z);
@@ -18,13 +21,9 @@ degrees up to src_cap, with target cap tgt_cap, returns a mode iff its
 degree shift is at most tgt_cap - src_cap, and then with its exact block for
 every source degree given; no returned mode is truncated.
 
-Composed products are built by application on output columns.  The
-commutator check takes the identity columns of degrees 0..cap in chunks of
-bounded width, stacks the blocks of F's window modes per target degree and
-applies E to those columns alone, and F to E's the same way; 0/1 column
-selectors then read E[m] F[n] off through blocks_compose.  Columns never
-mix, so each row's largest difference and scale are maxima over the chunks,
-and nothing is cached between calls.
+The commutator check applies E to F's stacked output columns and F to E's,
+over chunks of the identity columns of degrees 0..cap; columns never mix,
+so each row's largest difference and scale are maxima over the chunks.
 """
 
 from __future__ import annotations
@@ -85,8 +84,72 @@ def _raise_map(rank: int, node: int, m: int, degree: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
 def sector_dimension(rank: int, cap: int) -> int:
     return sum(len(states_of_degree(rank, d)) for d in range(cap + 1))
+
+
+@lru_cache(maxsize=None)
+def _counts(rank: int, node: int, m: int, degree: int) -> np.ndarray:
+    """How often the part m occurs at `node` in each state of `degree`."""
+    out = np.zeros(len(states_of_degree(rank, degree)), dtype=np.int8)
+    if degree >= m:
+        out[_raise_map(rank, node, m, degree - m)] = _counts(rank, node, m, degree - m) + 1
+    return out
+
+
+def _insertions(rank: int, node: int, degree: int, counted: bool):
+    """Yield for k = 1, 2, ... (t, c), one row per partition mu of k in _partitions order.
+
+    Inserting mu at `node` takes state s of `degree` to t[mu, s].  If counted,
+    c[mu, s] = prod_m (n_m + mu_m)! / n_m!, n_m the count of the part m in s.
+    Each mu extends mu[:-1] by one raise map.
+    """
+    n = len(states_of_degree(rank, degree))
+    done = {(): (np.arange(n), np.ones(n, dtype=int))}
+    for k in itertools.count(1):
+        for mu in _partitions(k, k):
+            m, (t, c) = mu[-1], done[mu[:-1]]
+            c = c * (_counts(rank, node, m, degree) + mu.count(m)) if counted else c
+            done[mu] = _raise_map(rank, node, m, degree + k - m)[t], c
+        yield [np.array(x) for x in zip(*(done[mu] for mu in _partitions(k, k)))]
+
+
+@lru_cache(maxsize=None)
+def _partition_table(reach: int):
+    """Part counts of the partitions of 1..reach in graded order, and 1 / their factorials' product."""
+    ms = range(1, reach + 1)
+    counts = np.array([[mu.count(m) for m in ms] for k in ms for mu in _partitions(k, k)], dtype=np.int8)
+    return counts, 1 / np.prod(np.cumprod([1.0, *ms])[counts], axis=1)
+
+
+_LEG_MAPS: dict = {}  # (rank, node, degree, sign) -> (reach, map), at the largest reach asked for
+
+
+def _leg_map(rank: int, node: int, degree: int, sign: int, reach: int) -> np.ndarray:
+    """exp - 1 of the creators (sign +1) or annihilators (-1) at `node` on `degree`.
+
+    Targets are rows of the degrees 0, 1, ... stacked.  Creators insert each
+    partition mu of 1..reach in graded order: row mu holds every state's
+    target, so a smaller reach reads the first rows.  A row (s, nu, c, t) of
+    annihilators adds c w[nu] x[s] to t, c = prod_m (n_m + nu_m)! / n_m! from
+    t's counts: removing nu from s leaves t exactly when inserting nu into t
+    gives s, so the rows are insertions into degree - k read backwards.
+    """
+    key = (rank, node, degree, sign)
+    if _LEG_MAPS.get(key, (0,))[0] < reach:
+        cols, first, ins = [], 0, _insertions(rank, node, degree, False)
+        for k in range(1, reach + 1):
+            r = sector_dimension(rank, degree + sign * k - 1)
+            if sign > 0:
+                cols.append((next(ins)[0] + r).astype(np.int32))
+            else:
+                t, c = next(itertools.islice(_insertions(rank, node, degree - k, True), k - 1, None))
+                nu, s = np.indices(t.shape)
+                cols.append(np.stack([t, nu + first, c, s + r], axis=-1).reshape(-1, 4))
+                first += len(t)
+        _LEG_MAPS[key] = reach, np.concatenate(cols)
+    return _LEG_MAPS[key][1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +238,14 @@ class FockSpace:
         self.params = params
         self.rank = cartan.rank
         self.table = ModeBracketTable(cartan, params)
-        self._gathers: dict = {}  # (node, m, target degree) -> [(index map, weights)]
+        self._weight_memo: dict = {}  # (node, members, sign, reach) -> _weights
 
-    def _merged_legs(self, specs_vars) -> list[tuple[int, int, object]]:
-        """Oscillator legs merged per (node, var): coefficients of a_node[m] add."""
-        groups: dict[tuple[int, int], list[tuple[str, complex]]] = {}
+    def _merged_legs(self, specs_vars) -> list[tuple[int, int, tuple]]:
+        """Oscillator legs (node, var, constituents): coefficients of a_node[m] add per (node, var)."""
+        groups: dict = {}
         for spec, var in specs_vars:
-            for kind, shift in spec.constituents:
-                groups.setdefault((spec.node, var), []).append((kind, complex(shift)))
-        legs = []
-        for (node, var), members in groups.items():
-            legs.append((node, var, _merged_kappa(self.params, tuple(members))))
-        return legs
+            groups.setdefault((spec.node, var), []).extend((k, complex(z)) for k, z in spec.constituents)
+        return [(node, var, tuple(members)) for (node, var), members in groups.items()]
 
     def _zero_mode(self, spec: CurrentSpec, lam) -> tuple[complex, int, int]:
         """Scalar factor, z-power and lattice charge of the zero modes on sector lam.
@@ -208,45 +267,62 @@ class FockSpace:
             total += charge
         return scalar, offset, total
 
-    def _lower_into(self, out: np.ndarray, coeff: complex, node: int, m: int, x, degree: int):
-        """out += coeff * a_node[m] x, for columns x at `degree` and m > 0."""
-        key = (node, m, degree - m)
-        if key not in self._gathers:
-            states = states_of_degree(self.rank, degree - m)
-            self._gathers[key] = [
-                (
-                    _raise_map(self.rank, j, m, degree - m),
-                    self.table.value(int(a), m) * np.array([[s[j].count(m) + 1.0] for s in states]),
-                )
+    def _weights(self, node: int, members, sign: int, reach: int):
+        """[(j, w)]: exp(sum_m kappa(-sign m) a_node[-sign m]) as weights w[nu] = v^nu / nu!.
+
+        nu runs over the partitions of 1..reach in graded order, and kappa(m)
+        sums the members' coefficients of a[m].  Creators insert nu at
+        j = node, with v(m) = kappa(-m); annihilators remove nu at each
+        neighbour j, with v(m) = kappa(m) b(A_node,j, m).
+        """
+        key = (node, members, sign, reach)
+        if key not in self._weight_memo:
+            ms = np.arange(1, reach + 1)
+            kappa = sum(osc_coeff(k, self.params, -sign * ms) * z ** (sign * ms) for k, z in members)
+            vs = {node: kappa} if sign > 0 else {
+                j: kappa * [self.table.value(int(a), m) for m in ms]
                 for j, a in enumerate(self.cartan.entries[node])
                 if a
-            ]
-        for idx, w in self._gathers[key]:
-            out += (coeff * w) * x[idx]
+            }
+            counts, inv_fact = _partition_table(reach)
+            self._weight_memo[key] = [(j, np.prod(v**counts, axis=1) * inv_fact) for j, v in vs.items()]
+        return self._weight_memo[key]
 
-    def _exp_parts(self, node: int, kappa, sign: int, degree: int, x, top: int):
-        """(k, h_k): degree-k parts of exp(sum_{m>0} kappa(-sign m) a_node[-sign m]) x.
+    def _leg(self, terms: dict, node: int, members, sign: int, tops, shift_z: bool) -> dict:
+        """exp(sum_m kappa(-sign m) a_node[-sign m]) on terms {(z-power, degree): columns}.
 
-        sign +1 takes the creators a[-m], sign -1 the annihilators a[m]; x
-        holds columns at `degree`, and h_k sits at degree + sign k, from 0
-        up to `top`.
+        Targets run from each source degree to tops[0]: creation stops there,
+        annihilation at 0.  Maps are built out to tops[1] for later calls to
+        read a prefix.  Terms whose outputs share z-powers add into one stack
+        of target rows, each term through one gather, one product with the
+        weights and one unbuffered add (np.add.at) on the float view.
         """
-        parts = []
-        for k in itertools.count():
-            t = degree + sign * k
-            if not 0 <= t <= top:
-                return
-            h = x
-            if k:
-                h = np.zeros((len(states_of_degree(self.rank, t)), x.shape[1]), dtype=complex)
-                for m in range(1, k + 1):
-                    coeff = m * kappa(-sign * m) / k
-                    if sign < 0:
-                        self._lower_into(h, coeff, node, m, parts[k - m], t + m)
-                    else:
-                        h[_raise_map(self.rank, node, m, t - m)] += coeff * parts[k - m]
-            parts.append(h)
-            yield k, h
+        reach = max([1] + [sign * (tops[0] - d) for _, d in terms])
+        for j, w in self._weights(node, members, sign, reach):
+            stacks: dict = {}
+            for (zd, d), y in terms.items():
+                if sign * (tops[0] - d) >= 0:  # a source past the target cap reaches no block
+                    stacks.setdefault(zd - d if shift_z else zd, {})[d] = y
+            terms = {}
+            for z, ys in stacks.items():
+                lo, hi = min(tops[0], *ys), max(tops[0], *ys)
+                rows = [sector_dimension(self.rank, t - 1) for t in range(hi + 2)]
+                # every term has the source's columns
+                block = np.zeros((rows[-1], y.shape[1]), dtype=complex)
+                for d, y in ys.items():
+                    block[rows[d] : rows[d + 1]] += y
+                    reach, n = sign * (tops[0] - d), 2 * y.shape[1]
+                    if reach:
+                        ent = _leg_map(self.rank, j, d, sign, sign * (tops[1] - d))
+                        p = len(_partition_table(reach)[1])
+                        src, nu, c, tgt = ent.T if sign < 0 else (..., np.arange(p)[:, None], 1, ent[:p])
+                        vals = np.ascontiguousarray((w[nu] * c)[..., None] * y[src]).view(float)
+                        # the float view's flat index; int32 targets times n may wrap
+                        idx = (tgt.astype(np.intp)[..., None] * n + np.arange(n)).ravel()
+                        np.add.at(block.view(float).ravel(), idx, vals.ravel())
+                for t in range(lo, hi + 1):
+                    terms[z + t if shift_z else z, t] = block[rows[t] : rows[t + 1]]
+        return terms
 
     def _apply(self, specs_vars, lam, src, tgt_cap: int):
         """Normal-ordered product of one or two currents (variables z, w) on sector lam.
@@ -277,14 +353,9 @@ class FockSpace:
         modes: dict[tuple[int, ...], Blocks] = {}
         for g, x in src.items():
             terms = {(0, g): scalar * x}
-            for sign, top in ((-1, g), (1, g + span)):  # annihilators act first, then creators
-                for node, var, kappa in legs:
-                    out: dict = {}
-                    for (zd, d), y in terms.items():
-                        for k, h in self._exp_parts(node, kappa, sign, d, y, top):
-                            key = (zd + sign * k if var < n_vars - 1 else zd, d + sign * k)
-                            out[key] = out[key] + h if key in out else h
-                    terms = out
+            for sign, tops in ((-1, (0, 0)), (1, (g + span, tgt_cap))):  # annihilators act first
+                for node, var, members in legs:
+                    terms = self._leg(terms, node, members, sign, tops, var < n_vars - 1)
             for (zd, t), block in terms.items():
                 if block.any():
                     powers = (zd, t - g - zd)[2 - n_vars :]  # (z, w) or (z,)
@@ -390,17 +461,3 @@ class CommutatorReport:
     residuals: list  # ((sector, m, n), residual, scale), one per row
     max_residual: float
     vacuous: int  # rows at or below the noise floor, where nothing is compared
-
-
-@lru_cache(maxsize=None)
-def _merged_kappa(params: DeformationParams, members: tuple[tuple[str, complex], ...]):
-    memo: dict[int, complex] = {}
-
-    def kappa(m: int) -> complex:
-        v = memo.get(m)
-        if v is None:
-            v = sum(osc_coeff(cls, params, m) * shift ** (-m) for cls, shift in members)
-            memo[m] = v
-        return v
-
-    return kappa

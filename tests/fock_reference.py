@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from screenalg import current_spec
+from screenalg import current_spec, osc_coeff
 from screenalg.fock import (
     SCALE_FLOOR,
     FockSpace,
@@ -112,6 +112,18 @@ def _apply_creation_exp(
     return out
 
 
+def _legs(space: FockSpace, specs_vars):
+    """(node, var, kappa) per (node, var): kappa(m) sums each constituent's coefficient of a[m]."""
+    groups: dict = {}
+    for spec, var in specs_vars:
+        groups.setdefault((spec.node, var), []).extend(spec.constituents)
+
+    def kappa_of(members):
+        return lambda m: sum(osc_coeff(cls, space.params, m) * shift ** (-m) for cls, shift in members)
+
+    return [(node, var, kappa_of(members)) for (node, var), members in groups.items()]
+
+
 def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: int):
     """Normal-ordered product of currents on sector lam, one basis state at a time.
 
@@ -120,7 +132,7 @@ def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: in
     target degree is at most tgt_cap.
     """
     lam = tuple(int(x) for x in lam)
-    legs = space._merged_legs(specs_vars)
+    legs = _legs(space, specs_vars)
     scalar = 1.0 + 0.0j
     off = [0, 0]
     tgt = list(lam)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from fock_reference import composed_commutator, reference_apply
@@ -12,12 +16,14 @@ from screenalg import (
 )
 from screenalg import fock
 from screenalg.fock import states_of_degree
+from screenalg.heisenberg import mode_bracket
 from screenalg.qlaurent import LaurentSeries
 
 PR = make_params(0.09, 0.3, 1)
 A1 = make_cartan("A", 1)
 A2 = make_cartan("A", 2)
 A3 = make_cartan("A", 3)
+D4 = make_cartan("D", 4)
 
 
 class TestEnumeration:
@@ -214,12 +220,16 @@ def _reference_modes(fs, specs_vars, lam, src_cap, tgt_cap):
     return modes
 
 
+# D4's node 1 has three neighbours, so its annihilators act on three nodes
 EQUIVALENCE_SECTORS = [(A1, (0,)), (A1, (1,)), (A2, (0, 0)), (A2, (1, 0)), (A2, (1, 1))]
+EQUIVALENCE_SECTORS += [(D4, (0, 0, 0, 0))]
 
 
 @pytest.mark.parametrize("current", ["E", "F", "H+", "H-", "EF"])
 @pytest.mark.parametrize(
-    "cartan,lam", EQUIVALENCE_SECTORS, ids=[f"A{c.rank}-{lam}" for c, lam in EQUIVALENCE_SECTORS]
+    "cartan,lam",
+    EQUIVALENCE_SECTORS,
+    ids=[f"{c.label}{c.rank}-{lam}" for c, lam in EQUIVALENCE_SECTORS],
 )
 def test_graded_engine_matches_reference(cartan, lam, current):
     src_cap, tgt_cap = 2, 5
@@ -247,6 +257,74 @@ def test_graded_engine_matches_reference(cartan, lam, current):
         for key, blocks in ref.items():
             if all(t - g <= tgt_cap - src_cap for g, (t, _) in blocks.items()):
                 assert set(modes.get(key, {})) == set(blocks), key
+
+
+def _partitions_of(k):
+    """The partitions of k as descending tuples, in reverse lexicographic order."""
+    parts = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(k, 0, -1), n) for n in range(1, k + 1)
+    )
+    return sorted({p for p in parts if sum(p) == k}, reverse=True)
+
+
+def _with_parts(state, node, parts, sign):
+    """state with the parts inserted at (sign +1) or removed from (sign -1) `node`."""
+    kept = Counter(state[node])
+    kept.update({m: sign * c for m, c in Counter(parts).items()})
+    return state[:node] + (tuple(sorted(kept.elements(), reverse=True)),) + state[node + 1 :]
+
+
+@pytest.mark.parametrize("cartan", [A2, A3, D4], ids=["A2", "A3", "D4"])
+def test_leg_maps_and_weights_match_tuple_enumeration(cartan):
+    """Insertion and removal maps, with their weights, against brute force over tuples, degrees <= 6."""
+    r, top = cartan.rank, 6
+    graded = [mu for k in range(1, top + 1) for mu in _partitions_of(k)]
+    # a state's row in the degrees 0, 1, ... stacked
+    row = {
+        s: sector_dimension(r, d - 1) + k
+        for d in range(top + 1)
+        for k, s in enumerate(states_of_degree(r, d))
+    }
+    for node, d in itertools.product(range(r), range(top + 1)):
+        states = states_of_degree(r, d)
+        # creators: row mu holds the target of every state of degree d
+        fits = [mu for mu in graded if sum(mu) <= top - d]
+        if fits:
+            ent = fock._leg_map(r, node, d, 1, top - d)[: len(fits)]
+            assert ent.tolist() == [[row[_with_parts(s, node, mu, 1)] for s in states] for mu in fits]
+        # annihilators: (source, nu, C(n, nu) nu!, target) for every nonempty sub-multiset nu
+        want = []
+        for k, s in enumerate(states):
+            n = Counter(s[node])
+            for pick in itertools.product(*(range(c + 1) for c in n.values())):
+                nu = tuple(sorted(Counter(dict(zip(n, pick))).elements(), reverse=True))
+                mult = math.prod(math.comb(n[m], c) * math.factorial(c) for m, c in zip(n, pick))
+                if nu:
+                    want.append((k, graded.index(nu), mult, row[_with_parts(s, node, nu, -1)]))
+        if d:
+            assert sorted(map(tuple, fock._leg_map(r, node, d, -1, d).tolist())) == sorted(want)
+    # weights v^nu / nu!: v(m) = kappa(-m) for creators, kappa(m) b(A_ij, m) for annihilators
+    fs = FockSpace(cartan, PR)
+    for kind, node in itertools.product(["E", "F", "H+"], range(r)):
+        ((_, _, members),) = fs._merged_legs([(current_spec(kind, node, r, PR), 0)])
+
+        def kappa(m):
+            return sum(osc_coeff(cls, PR, m) * shift ** (-m) for cls, shift in members)
+
+        def weights(v):
+            return [
+                math.prod(v(m) ** mu.count(m) / math.factorial(mu.count(m)) for m in set(mu))
+                for mu in graded
+            ]
+
+        ((j, w),) = fs._weights(node, members, 1, top)
+        assert j == node
+        np.testing.assert_allclose(w, weights(lambda m: kappa(-m)), rtol=1e-13)
+        got = fs._weights(node, members, -1, top)
+        assert [j for j, _ in got] == [j for j in range(r) if cartan[node, j]]
+        for j, w in got:
+            want = weights(lambda m: kappa(m) * mode_bracket(int(cartan[node, j]), PR, m))
+            np.testing.assert_allclose(w, want, rtol=1e-13)
 
 
 ORACLE_SECTORS = [(A1, (0,)), (A1, (1,)), (A2, (0, 0)), (A2, (1, 0)), (A2, (1, 1)), (A3, (0, 0, 0))]
@@ -300,12 +378,29 @@ class TestCommutatorMutants:
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
     def test_scaled_gather_fails(self, cartan, monkeypatch):
-        lower = FockSpace._lower_into
+        # every annihilation coefficient beta^nu / nu! scaled by 1 + 1e-6
+        weights = FockSpace._weights
 
-        def scaled(self, out, coeff, *args):
-            return lower(self, out, coeff * (1 + 1e-6), *args)
+        def scaled(self, node, members, sign, reach):
+            out = weights(self, node, members, sign, reach)
+            return [(j, w * (1 + 1e-6)) for j, w in out] if sign < 0 else out
 
-        monkeypatch.setattr(FockSpace, "_lower_into", scaled)
+        monkeypatch.setattr(FockSpace, "_weights", scaled)
+        assert _same_node_residual(cartan) > self.TOL_FOCK
+
+    @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
+    def test_scaled_single_part_creation_fails(self, cartan, monkeypatch):
+        # the creation weight c_mu of mu = (1,), first in graded order, scaled by 1 + 1e-6
+        weights = FockSpace._weights
+
+        def scaled(self, node, members, sign, reach):
+            out = weights(self, node, members, sign, reach)
+            if sign > 0:
+                ((j, w),) = out
+                out = [(j, np.concatenate([w[:1] * (1 + 1e-6), w[1:]]))]
+            return out
+
+        monkeypatch.setattr(FockSpace, "_weights", scaled)
         assert _same_node_residual(cartan) > self.TOL_FOCK
 
     @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
