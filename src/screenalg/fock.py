@@ -22,8 +22,9 @@ degree shift is at most tgt_cap - src_cap, and then with its exact block for
 every source degree given; no returned mode is truncated.
 
 The commutator check applies E to F's stacked output columns and F to E's,
-over chunks of the identity columns of degrees 0..cap; columns never mix,
-so each row's largest difference and scale are maxima over the chunks.
+over chunks of the identity columns of degrees 0..cap, and reads E[m] F[n]
+back off as a column slice of the result, a view.  Columns never mix, so
+each row's largest difference and scale are maxima over the chunks.
 """
 
 from __future__ import annotations
@@ -157,11 +158,12 @@ def _leg_map(rank: int, node: int, degree: int, sign: int, reach: int) -> np.nda
 
 
 def blocks_compose(outer: Blocks, inner: Blocks) -> Blocks:
+    """outer after inner; an inner column slice s reads outer's block as the view m2[:, s]."""
     out: Blocks = {}
     for src, (mid, m1) in inner.items():
         if mid in outer:
             tgt, m2 = outer[mid]
-            out[src] = (tgt, m2 @ m1)
+            out[src] = (tgt, m2[:, m1] if isinstance(m1, slice) else m2 @ m1)
     return out
 
 
@@ -174,36 +176,45 @@ def blocks_linear(parts: list[tuple[complex, Blocks]]) -> Blocks:
                 tgt0, m0 = out[src]
                 if tgt0 != tgt:
                     raise ValueError("degree-incompatible blocks in linear combination")
-                out[src] = (tgt0, m0 + c * m)
+                m0 += c * m  # the first part's product is a fresh array
             else:
                 out[src] = (tgt, c * m)
     return out
 
 
-def blocks_max_abs(b: Blocks) -> float:
-    return max((float(np.max(np.abs(m))) for _, m in b.values()), default=0.0)
+def _row_maxima(ef: Blocks, fe: Blocks, rhs: Blocks, err, scale):
+    """err and scale raised to max |ef - fe - rhs| and to the largest |entry| of the three.
+
+    Each source degree's difference is formed once, in place after its first step, by
+    blocks_linear([(1, ef), (-1, fe), (-1, rhs)])'s steps in order; a missing block is zero.
+    """
+    for g in ef.keys() | fe.keys() | rhs.keys():
+        (t, x), (u, y), (v, r) = (b.get(g, (None, 0)) for b in (ef, fe, rhs))
+        if len({t, u, v} - {None}) > 1:
+            raise ValueError("degree-incompatible blocks in linear combination")
+        d = x - y if g in fe else x - r if g in rhs else x
+        if g in fe and g in rhs:
+            d -= r
+        err = max(err, float(np.abs(d).max()))
+        scale = max(scale, *(float(np.abs(a).max()) for a in (x, y, r)))
+    return err, scale
 
 
 def _stack_outputs(modes: dict[int, Blocks], window: int):
     """Output columns of the modes |n| <= window, stacked per target degree.
 
     Returns (cols, selectors): cols[t] holds, mode by mode, every block that
-    lands at degree t, and selectors[n][g] = (t, S) with S the 0/1 matrix
-    that picks modes[n]'s block at source degree g out of cols[t].  So for
-    Y acting on cols, blocks_compose(Y, selectors[n]) is Y modes[n].
+    lands at degree t, and selectors[n][g] = (t, s) with s the column slice
+    of modes[n]'s block at source degree g in cols[t].  So for Y acting on
+    cols, blocks_compose(Y, selectors[n]) is Y modes[n], as views of Y's blocks.
     """
-    groups: dict[int, list] = {}
+    stacks, selectors = {}, {}
     for n in range(-window, window + 1):
         for g, (t, block) in modes.get(n, {}).items():
-            groups.setdefault(t, []).append((n, g, block))
-    cols, selectors = {}, {}
-    for t in sorted(groups):
-        cols[t] = np.hstack([block for *_, block in groups[t]])
-        pick, col = np.eye(cols[t].shape[1]), 0
-        for n, g, block in groups[t]:
-            selectors.setdefault(n, {})[g] = (t, pick[:, col : col + block.shape[1]])
-            col += block.shape[1]
-    return cols, selectors
+            col = sum(b.shape[1] for b in stacks.setdefault(t, []))
+            selectors.setdefault(n, {})[g] = (t, slice(col, col + block.shape[1]))
+            stacks[t].append(block)
+    return {t: np.hstack(stacks[t]) for t in sorted(stacks)}, selectors
 
 
 def _column_chunks(rank: int, cap: int, width: int):
@@ -324,7 +335,7 @@ class FockSpace:
                     terms[z + t if shift_z else z, t] = block[rows[t] : rows[t + 1]]
         return terms
 
-    def _apply(self, specs_vars, lam, src, tgt_cap: int):
+    def _apply(self, specs_vars, lam, src, tgt_cap: int, x_modes=None):
         """Normal-ordered product of one or two currents (variables z, w) on sector lam.
 
         Returns (target_sector, offsets, modes), modes mapping a tuple of mode
@@ -350,12 +361,15 @@ class FockSpace:
             src = {d: np.eye(len(states_of_degree(self.rank, d))) for d in range(src + 1)}
         span = tgt_cap - max(src, default=0)
         legs = self._merged_legs(specs_vars)
-        modes: dict[tuple[int, ...], Blocks] = {}
+        modes: dict = {}  # mode indices -> Blocks
         for g, x in src.items():
             terms = {(0, g): scalar * x}
             for sign, tops in ((-1, (0, 0)), (1, (g + span, tgt_cap))):  # annihilators act first
                 for node, var, members in legs:
                     terms = self._leg(terms, node, members, sign, tops, var < n_vars - 1)
+                    if x_modes is not None and sign > 0 and var == 0:  # z's power is final:
+                        # w's creators run only on the z-modes in x_modes
+                        terms = {k: y for k, y in terms.items() if -(k[0] + off[0]) in x_modes}
             for (zd, t), block in terms.items():
                 if block.any():
                     powers = (zd, t - g - zd)[2 - n_vars :]  # (z, w) or (z,)
@@ -368,19 +382,14 @@ class FockSpace:
         tgt, offs, modes = self._apply([(spec, 0)], lam, src, tgt_cap)
         return tgt, offs[0], {nz: blocks for (nz,), blocks in modes.items()}
 
-    def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src, tgt_cap: int):
-        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):."""
-        return self._apply([(spec_x, 0), (spec_y, 1)], lam, src, tgt_cap)
+    def pair_modes(self, spec_x: CurrentSpec, spec_y: CurrentSpec, lam, src, x_modes, tgt_cap: int):
+        """(target_sector, offsets, dict[(m, n)] -> Blocks) for :X(z) Y(w):, m in x_modes if given."""
+        return self._apply([(spec_x, 0), (spec_y, 1)], lam, src, tgt_cap, x_modes)
 
     # -- public operations -------------------------------------------------------
 
     def commutator_check(
-        self,
-        spec_a: CurrentSpec,
-        spec_b: CurrentSpec,
-        sectors,
-        cap: int,
-        window: int,
+        self, spec_a: CurrentSpec, spec_b: CurrentSpec, sectors, cap: int, window: int
     ) -> "CommutatorReport":
         """Entry-wise residuals of the E/F commutation relation on mode blocks.
 
@@ -393,44 +402,39 @@ class FockSpace:
         if spec_a.kind != "E" or spec_b.kind != "F":
             raise ValueError("commutator_check is defined for the (E, F) pair only")
         i, j = spec_a.node, spec_b.node
-        params, cartan = self.params, self.cartan
-        a_ij = cartan[i, j]
-        alpha_i = np.eye(self.rank, dtype=int)[i]
-        alpha_j = np.eye(self.rank, dtype=int)[j]
+        params = self.params
         qh, pqh = params.q_half, params.pq_half
         hp, hm = (current_spec(kind, i, self.rank, params) for kind in ("H+", "H-"))
-        pairs = list(itertools.product(range(-window, window + 1), repeat=2))
-        top_dim = len(states_of_degree(self.rank, cap + 2 * window + 2))
-        width = max(CHUNK_BYTES // (16 * top_dim), 1)  # columns per chunk
+        width = max(CHUNK_BYTES // (16 * len(states_of_degree(self.rank, cap + 2 * window + 2))), 1)
 
         def complete(spec, sector, src, reach):
-            """X[n], n >= -reach, on the columns src: maps degree g to g - n - off."""
+            """X[n], n >= -reach, on the columns src, as sector_modes: maps degree g to g - n - off."""
             tgt_cap = max(max(src, default=0) + reach - self._zero_mode(spec, sector)[1], 0)
-            return self.sector_modes(spec, sector, src, tgt_cap)[2]
+            return self.sector_modes(spec, sector, src, tgt_cap)
 
         rows, vacuous = [], 0
         for lam in sectors:
             lam = tuple(int(x) for x in lam)
-            lam_e = tuple(int(x) for x in np.asarray(lam) - alpha_j)  # E acts after F
-            lam_f = tuple(int(x) for x in np.asarray(lam) + alpha_i)  # F acts after E
             # each (m, n) row's largest |diff| and scale over the columns:
             # a max over column chunks is the max over the sector's columns
-            err, scale = dict.fromkeys(pairs, 0.0), dict.fromkeys(pairs, 0.0)
+            worst = dict.fromkeys(itertools.product(range(-window, window + 1), repeat=2), (0.0, 0.0))
             for chunk in _column_chunks(self.rank, cap, width):
                 # E acts on F's output columns and F on E's, never on the whole middle sector
-                f_cols, f_sel = _stack_outputs(complete(spec_b, lam, chunk, window), window)
-                e_cols, e_sel = _stack_outputs(complete(spec_a, lam, chunk, window), window)
-                e_on_f = complete(spec_a, lam_e, f_cols, window)
-                f_on_e = complete(spec_b, lam_f, e_cols, window)
-                b_modes: dict = {}  # no :E F: term at A_ij = 0
+                lam_e, _, f_modes = complete(spec_b, lam, chunk, window)
+                lam_f, _, e_modes = complete(spec_a, lam, chunk, window)
+                f_cols, f_sel = _stack_outputs(f_modes, window)
+                e_cols, e_sel = _stack_outputs(e_modes, window)
+                e_on_f = complete(spec_a, lam_e, f_cols, window)[2]
+                f_on_e = complete(spec_b, lam_f, e_cols, window)[2]
+                b_modes = {}  # no :E F: term at A_ij = 0
                 if i == j:  # H[m + n - 2] reaches mode -2W - 2
-                    hp_modes = complete(hp, lam, chunk, 2 * window + 2)
-                    hm_modes = complete(hm, lam, chunk, 2 * window + 2)
-                elif a_ij == -1:  # B[m', n'] reaches m' + n' = 1 - 2W
+                    hp_modes, hm_modes = (complete(h, lam, chunk, 2 * window + 2)[2] for h in (hp, hm))
+                elif self.cartan[i, j] == -1:  # B[m', n'] reaches m' + n' = 1 - 2W
                     offs = self._zero_mode(spec_a, lam)[1] + self._zero_mode(spec_b, lam)[1]
                     tgt_cap = max(max(chunk) + 2 * window - 1 - offs, 0)
-                    b_modes = self.pair_modes(spec_a, spec_b, lam, chunk, tgt_cap)[2]
-                for m, n in pairs:
+                    x_modes = range(-window, window + 2)  # the rows read B[m', n'] for these m' only
+                    b_modes = self.pair_modes(spec_a, spec_b, lam, chunk, x_modes, tgt_cap)[2]
+                for m, n in worst:
                     ef = blocks_compose(e_on_f.get(m, {}), f_sel.get(n, {}))
                     fe = blocks_compose(f_on_e.get(n, {}), e_sel.get(m, {}))
                     if i == j:
@@ -441,19 +445,14 @@ class FockSpace:
                     else:
                         b1, b2 = b_modes.get((m + 1, n), {}), b_modes.get((m, n + 1), {})
                         parts = [(2 * pqh, b1), (-2 * qh, b2)]
-                    rhs = blocks_linear(parts)
-                    diff = blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
-                    err[m, n] = max(err[m, n], blocks_max_abs(diff))
-                    scale[m, n] = max(scale[m, n], *(blocks_max_abs(b) for b in (ef, fe, rhs)))
+                    worst[m, n] = _row_maxima(ef, fe, blocks_linear(parts), *worst[m, n])
             # rounding noise scales with the largest entries of the sector's
             # check; a row whose own scale is below that floor compares nothing
-            floor = SCALE_FLOOR * max(scale.values())
-            for m, n in pairs:
-                vacuous += scale[m, n] <= floor
-                res = err[m, n] / max(scale[m, n], floor) if err[m, n] else 0.0
-                rows.append(((lam, m, n), res, scale[m, n]))
-        max_res = max((r for _, r, _ in rows), default=0.0)
-        return CommutatorReport(residuals=rows, max_residual=max_res, vacuous=vacuous)
+            floor = SCALE_FLOOR * max(scale for _, scale in worst.values())
+            for mn, (err, scale) in worst.items():
+                vacuous += scale <= floor
+                rows.append(((lam, *mn), err / max(scale, floor) if err else 0.0, scale))
+        return CommutatorReport(rows, max((r for _, r, _ in rows), default=0.0), vacuous)
 
 
 @dataclass

@@ -24,7 +24,6 @@ from screenalg.fock import (
     _state_index,
     blocks_compose,
     blocks_linear,
-    blocks_max_abs,
     states_of_degree,
 )
 
@@ -170,6 +169,10 @@ def reference_apply(space: FockSpace, specs_vars, lam, src_cap: int, tgt_cap: in
     return tuple(tgt), tuple(off), modes
 
 
+def blocks_max_abs(b) -> float:
+    return max((float(np.max(np.abs(m))) for _, m in b.values()), default=0.0)
+
+
 def composed_commutator(space: FockSpace, spec_e, spec_f, lam, cap: int, window: int):
     """Rows and vacuous count of ``commutator_check`` on one sector, from whole-sector blocks.
 
@@ -202,7 +205,7 @@ def composed_commutator(space: FockSpace, spec_e, spec_f, lam, cap: int, window:
     elif a_ij == -1:
         offs = space._zero_mode(spec_e, lam)[1] + space._zero_mode(spec_f, lam)[1]
         tgt_cap = max(cap + 2 * window - 1 - offs, 0)
-        b_modes = space.pair_modes(spec_e, spec_f, lam, cap, tgt_cap)[2]
+        b_modes = space.pair_modes(spec_e, spec_f, lam, cap, None, tgt_cap)[2]
     rows = []
     for m in range(-window, window + 1):
         for n in range(-window, window + 1):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from fock_reference import composed_commutator, reference_apply
+from fock_reference import blocks_max_abs, composed_commutator, reference_apply
 
 from screenalg import (
     FockSpace,
@@ -213,6 +213,84 @@ def test_column_chunks_cover_every_identity_column_once_in_graded_order(cartan, 
     assert seen == [(d, k) for d in range(cap + 1) for k in range(len(states_of_degree(r, d)))]
 
 
+def _random_blocks(rng, shapes):
+    """Blocks {src: (tgt, complex matrix)} of the given {src: (tgt, rows, cols)}."""
+    return {
+        g: (t, rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        for g, (t, rows, cols) in shapes.items()
+    }
+
+
+def test_slice_selector_composes_as_its_0_1_matrix_and_as_a_view():
+    rng = np.random.default_rng(5)
+    outer = _random_blocks(rng, {4: (6, 7, 9), 5: (7, 3, 12)})
+    for start, stop in [(0, 9), (0, 1), (2, 5), (8, 9), (4, 4)]:
+        inner = {0: (4, slice(start, stop)), 1: (5, slice(start, stop + 3)), 2: (3, slice(0, 1))}
+        want = {g: (t, np.eye(outer[t][1].shape[1])[:, s]) for g, (t, s) in inner.items() if t in outer}
+        got = fock.blocks_compose(outer, inner)
+        assert list(got) == [0, 1]  # no outer block at degree 3
+        for g, (t, block) in got.items():
+            t0, block0 = fock.blocks_compose(outer, want)[g]
+            assert t == t0 and np.array_equal(block, block0)
+            if block.size:
+                assert np.shares_memory(block, outer[inner[g][0]][1])
+
+
+# which of ef, fe and rhs hold a block at source degrees 0..7: every combination
+PRESENCE = list(itertools.product([False, True], repeat=3))
+
+
+def test_row_maxima_equals_the_blocks_linear_difference_and_leaves_its_inputs():
+    rng = np.random.default_rng(7)
+    sides = [
+        _random_blocks(rng, {g: (g + 2, 4 + g, 3) for g, has in enumerate(PRESENCE) if has[k]})
+        for k in range(3)
+    ]
+    ef, fe, rhs = sides
+    before = [{g: b.copy() for g, (_, b) in side.items()} for side in sides]
+    err, scale = fock._row_maxima(ef, fe, rhs, 0.0, 0.0)
+    diff = fock.blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
+    assert err == blocks_max_abs(diff)
+    assert scale == max(blocks_max_abs(b) for b in sides)
+    for side, copies in zip(sides, before):
+        assert all(np.array_equal(b, copies[g]) for g, (_, b) in side.items())
+    # running maxima: a larger err or scale passed in is kept
+    assert fock._row_maxima(ef, fe, rhs, 2 * err, scale / 2) == (2 * err, scale)
+    assert fock._row_maxima({}, {}, {}, 0.5, 0.25) == (0.5, 0.25)
+
+
+@pytest.mark.parametrize("side", [0, 1, 2], ids=["ef", "fe", "rhs"])
+def test_row_maxima_rejects_blocks_at_different_target_degrees(side):
+    rng = np.random.default_rng(3)
+    sides = [_random_blocks(rng, {1: (4, 5, 2)}) for _ in range(3)]
+    sides[side] = {1: (5, sides[side][1][1])}
+    with pytest.raises(ValueError, match="degree-incompatible"):
+        fock._row_maxima(*sides, 0.0, 0.0)
+
+
+PAIR_CASES = [(A2, (0, 0), 0, 1), (A2, (1, 0), 1, 0), (A3, (0, 0, 0), 1, 2), (D4, (0, 0, 0, 0), 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "cartan,lam,i,j", PAIR_CASES, ids=[f"{c.label}{c.rank}-E{i}F{j}" for c, _, i, j in PAIR_CASES]
+)
+def test_pair_modes_in_a_window_are_the_full_modes_bit_for_bit(cartan, lam, i, j):
+    r, src_cap, window = cartan.rank, 3, 2
+    fs = FockSpace(cartan, PR)
+    e, f = current_spec("E", i, r, PR), current_spec("F", j, r, PR)
+    tgt_cap = src_cap + 2 * window + 1
+    full = fs.pair_modes(e, f, lam, src_cap, None, tgt_cap)
+    x_modes = range(-window, window + 2)
+    part = FockSpace(cartan, PR).pair_modes(e, f, lam, src_cap, x_modes, tgt_cap)
+    assert part[:2] == full[:2]
+    assert any(m not in x_modes for m, _ in full[2])  # the window drops modes
+    assert set(part[2]) == {(m, n) for m, n in full[2] if m in x_modes}
+    for key, blocks in part[2].items():
+        assert blocks.keys() == full[2][key].keys()
+        for g, (t, block) in blocks.items():
+            assert t == full[2][key][g][0] and np.array_equal(block, full[2][key][g][1]), (key, g)
+
+
 def _reference_modes(fs, specs_vars, lam, src_cap, tgt_cap):
     _, _, modes = reference_apply(fs, specs_vars, lam, src_cap, tgt_cap)
     if len(specs_vars) == 1:
@@ -240,7 +318,7 @@ def test_graded_engine_matches_reference(cartan, lam, current):
         if current == "EF":
             for j in range(r):
                 e, f = current_spec("E", i, r, PR), current_spec("F", j, r, PR)
-                calls.append(([(e, 0), (f, 1)], fs.pair_modes(e, f, lam, src_cap, tgt_cap)))
+                calls.append(([(e, 0), (f, 1)], fs.pair_modes(e, f, lam, src_cap, None, tgt_cap)))
         else:
             spec = current_spec(current, i, r, PR)
             calls.append(([(spec, 0)], fs.sector_modes(spec, lam, src_cap, tgt_cap)))
@@ -439,3 +517,42 @@ class TestCommutatorMutants:
 
         monkeypatch.setattr(FockSpace, "sector_modes", without_f0_on_vacuum)
         assert _same_node_residual(cartan) > self.TOL_FOCK
+
+    @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
+    def test_selector_slice_shifted_by_one_column_fails(self, cartan, monkeypatch):
+        # the first (n, g) group with a neighbour in its stack reads one column off
+        stack_outputs = fock._stack_outputs
+        shifted = []
+
+        def one_slice_shifted(modes, window):
+            cols, selectors = stack_outputs(modes, window)
+            for n, by_degree in selectors.items():
+                for g, (t, s) in by_degree.items():
+                    step = -1 if s.start else 1
+                    if s.stop + step <= cols[t].shape[1]:
+                        by_degree[g] = (t, slice(s.start + step, s.stop + step))
+                        shifted.append((n, g))
+                        return cols, selectors
+            return cols, selectors
+
+        monkeypatch.setattr(fock, "_stack_outputs", one_slice_shifted)
+        assert _same_node_residual(cartan) > self.TOL_FOCK
+        assert shifted
+
+    @pytest.mark.parametrize("kind", ["H+", "H-"])
+    @pytest.mark.parametrize("cartan", MUTANT_ALGEBRAS, ids=["A2", "A3"])
+    def test_relabelled_h_block_target_raises(self, cartan, kind, monkeypatch):
+        # one block of H[-2] (the rows m + n = 0) claims the next target degree
+        sector_modes = FockSpace.sector_modes
+
+        def relabelled(self, spec, lam, src, tgt_cap):
+            tgt, off, modes = sector_modes(self, spec, lam, src, tgt_cap)
+            if (spec.kind, spec.node) == (kind, 0):
+                g = min(modes[-2])
+                t, block = modes[-2][g]
+                modes = {**modes, -2: {**modes[-2], g: (t + 1, block)}}
+            return tgt, off, modes
+
+        monkeypatch.setattr(FockSpace, "sector_modes", relabelled)
+        with pytest.raises(ValueError, match="degree-incompatible"):
+            _same_node_residual(cartan)
