@@ -183,10 +183,11 @@ def blocks_linear(parts: list[tuple[complex, Blocks]]) -> Blocks:
 
 
 def _row_maxima(ef: Blocks, fe: Blocks, rhs: Blocks, err, scale):
-    """err and scale raised to max |ef - fe - rhs| and to the largest |entry| of the three.
+    """err and scale raised to max |ef - fe - rhs| and to the largest |entry| of rhs.
 
     Each source degree's difference is formed once, in place after its first step, by
     blocks_linear([(1, ef), (-1, fe), (-1, rhs)])'s steps in order; a missing block is zero.
+    The caller takes |ef| and |fe| at their largest off _column_maxima.
     """
     for g in ef.keys() | fe.keys() | rhs.keys():
         (t, x), (u, y), (v, r) = (b.get(g, (None, 0)) for b in (ef, fe, rhs))
@@ -196,8 +197,22 @@ def _row_maxima(ef: Blocks, fe: Blocks, rhs: Blocks, err, scale):
         if g in fe and g in rhs:
             d -= r
         err = max(err, float(np.abs(d).max()))
-        scale = max(scale, *(float(np.abs(a).max()) for a in (x, y, r)))
+        if g in rhs:
+            scale = max(scale, float(np.abs(r).max()))
     return err, scale
+
+
+def _column_maxima(modes: dict[int, Blocks], window: int) -> dict:
+    """{n: {g: the largest |entry| of each column of modes[n]'s block at g}} for |n| <= window."""
+    return {
+        n: {g: np.abs(b).max(axis=0) for g, (_, b) in modes[n].items()}
+        for n in range(-window, window + 1) if n in modes
+    }
+
+
+def _selected_max(col_max: dict, selector: dict) -> float:
+    """max |entry| of blocks_compose(modes[n], selector), read off _column_maxima(modes)[n]."""
+    return max((float(col_max[t][s].max()) for t, s in selector.values() if t in col_max), default=0.0)
 
 
 def _stack_outputs(modes: dict[int, Blocks], window: int):
@@ -249,7 +264,7 @@ class FockSpace:
         self.params = params
         self.rank = cartan.rank
         self.table = ModeBracketTable(cartan, params)
-        self._weight_memo: dict = {}  # (node, members, sign, reach) -> _weights
+        self._weight_memo: dict = {}  # (node, members, sign) -> (reach, _weights), at the largest reach
 
     def _merged_legs(self, specs_vars) -> list[tuple[int, int, tuple]]:
         """Oscillator legs (node, var, constituents): coefficients of a_node[m] add per (node, var)."""
@@ -284,10 +299,11 @@ class FockSpace:
         nu runs over the partitions of 1..reach in graded order, and kappa(m)
         sums the members' coefficients of a[m].  Creators insert nu at
         j = node, with v(m) = kappa(-m); annihilators remove nu at each
-        neighbour j, with v(m) = kappa(m) b(A_node,j, m).
+        neighbour j, with v(m) = kappa(m) b(A_node,j, m).  The weights are
+        kept at the largest reach asked for; a smaller reach reads a prefix.
         """
-        key = (node, members, sign, reach)
-        if key not in self._weight_memo:
+        key = (node, members, sign)
+        if self._weight_memo.get(key, (0,))[0] < reach:
             ms = np.arange(1, reach + 1)
             kappa = sum(osc_coeff(k, self.params, -sign * ms) * z ** (sign * ms) for k, z in members)
             vs = {node: kappa} if sign > 0 else {
@@ -296,8 +312,8 @@ class FockSpace:
                 if a
             }
             counts, inv_fact = _partition_table(reach)
-            self._weight_memo[key] = [(j, np.prod(v**counts, axis=1) * inv_fact) for j, v in vs.items()]
-        return self._weight_memo[key]
+            self._weight_memo[key] = reach, [(j, np.prod(v**counts, axis=1) * inv_fact) for j, v in vs.items()]
+        return self._weight_memo[key][1]
 
     def _leg(self, terms: dict, node: int, members, sign: int, tops, shift_z: bool) -> dict:
         """exp(sum_m kappa(-sign m) a_node[-sign m]) on terms {(z-power, degree): columns}.
@@ -426,6 +442,9 @@ class FockSpace:
                 e_cols, e_sel = _stack_outputs(e_modes, window)
                 e_on_f = complete(spec_a, lam_e, f_cols, window)[2]
                 f_on_e = complete(spec_b, lam_f, e_cols, window)[2]
+                # each column's largest |entry|, once per chunk: a row's |E[m] F[n]| and
+                # |F[n] E[m]| maxima are maxima over its selectors' slices of these
+                e_max, f_max = _column_maxima(e_on_f, window), _column_maxima(f_on_e, window)
                 b_modes = {}  # no :E F: term at A_ij = 0
                 if i == j:  # H[m + n - 2] reaches mode -2W - 2
                     hp_modes, hm_modes = (complete(h, lam, chunk, 2 * window + 2)[2] for h in (hp, hm))
@@ -445,7 +464,10 @@ class FockSpace:
                     else:
                         b1, b2 = b_modes.get((m + 1, n), {}), b_modes.get((m, n + 1), {})
                         parts = [(2 * pqh, b1), (-2 * qh, b2)]
-                    worst[m, n] = _row_maxima(ef, fe, blocks_linear(parts), *worst[m, n])
+                    err, scale = worst[m, n]
+                    scale = max(scale, _selected_max(e_max.get(m, {}), f_sel.get(n, {})),
+                                _selected_max(f_max.get(n, {}), e_sel.get(m, {})))
+                    worst[m, n] = _row_maxima(ef, fe, blocks_linear(parts), err, scale)
             # rounding noise scales with the largest entries of the sector's
             # check; a row whose own scale is below that floor compares nothing
             floor = SCALE_FLOOR * max(scale for _, scale in worst.values())

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -413,9 +414,14 @@ def _commutator_driver(ctx: VerifierContext):
     return {**row, "passed": passed, "details": details, "series": series, "fock": fock}
 
 
-def _draw_triples(rng, n: int):
+def _uniform_rows(rng: random.Random, n: int, bounds) -> np.ndarray:
+    """n rows of rng.uniform(lo, hi) = lo + (hi - lo) rng.random(), one per (lo, hi) in bounds."""
+    return np.array([[rng.uniform(lo, hi) for lo, hi in bounds] for _ in range(n)])
+
+
+def _draw_triples(rng: random.Random, n: int):
     """z1, z2, w at n points, each drawn as |z| in [0.7, 1.3] then arg z in [-2.8, 2.8]."""
-    r, ph = rng.uniform([0.7, -2.8], [1.3, 2.8], size=(n, 3, 2)).T
+    r, ph = _uniform_rows(rng, n, [(0.7, 1.3), (-2.8, 2.8)] * 3).reshape(n, 3, 2).T
     return r * np.exp(1j * ph)
 
 
@@ -432,7 +438,7 @@ def _serre_driver(ctx: VerifierContext, kind: str):
         return _outcome([], 0, 0, tol, "no adjacent node pair in this algebra; vacuous", vacuous=True)
     psi = "EE" if kind == "E" else "FF-qt"
     psi_fn = partial(theta_quotient, psi, params=ctx.params, order=ctx.order, floor=0)
-    rng = np.random.default_rng(ctx.seed)
+    rng = random.Random(ctx.seed)
     residuals, skipped, total = [], 0, 0
 
     sampled = adjacent[:2]  # the first two only, to stay cheap; named in the notes
@@ -490,11 +496,9 @@ def _jacobi_sum(x, a):
 
 def _theta_driver(ctx):
     """Quasi-periodicity and the triple-product sum at n_random random (a, x)."""
-    rng = np.random.default_rng(ctx.seed)
     # per point: |a|, arg a, |x|, arg x
-    ra, pa, rx, px = rng.uniform(
-        [0.05, -np.pi, 0.2, -np.pi], [0.5, np.pi, 1.8, np.pi], size=(ctx.n_random, 4)
-    ).T
+    bounds = [(0.05, 0.5), (-math.pi, math.pi), (0.2, 1.8), (-math.pi, math.pi)]
+    ra, pa, rx, px = _uniform_rows(random.Random(ctx.seed), ctx.n_random, bounds).T
     a, x = ra * np.exp(1j * pa), rx * np.exp(1j * px)
     tx = theta(x, a, ctx.order)
     rhs = -tx / x
@@ -537,7 +541,7 @@ def _heisenberg_driver(ctx):
 
 
 def _structure_driver(ctx, which: str):
-    rng = np.random.default_rng(ctx.seed + 1)
+    rng = random.Random(ctx.seed + 1)
     p = ctx.params
     if which == "from-engine":  # serre coefficients rebuilt from the engine's exchange ratios
         pairs = [(i, j) for i, j, a in ctx.cartan.node_pairs() if a == -1]
@@ -558,12 +562,9 @@ def _structure_driver(ctx, which: str):
         with np.errstate(divide="ignore", invalid="ignore"):  # f is finite where kept
             res = _relative(f_engine, f_printed)
         return _outcome(res[~skip], n, int(skip.sum()), 1e-9)
-    # per point: A_ij, |x|, arg x; rng.choice draws 32 bits at a time, so the
-    # draws cannot be batched without changing them
-    a_all, r, ph = np.array([
-        (rng.choice([2, -1, 0]), rng.uniform(0.3, 1.7), rng.uniform(-3.0, 3.0))
-        for _ in range(ctx.n_random)
-    ]).reshape(-1, 3).T
+    # per point: A_ij, |x|, arg x
+    a_all, r, ph = np.array([((2, -1, 0)[int(3 * rng.random())], rng.uniform(0.3, 1.7), rng.uniform(-3.0, 3.0))
+                             for _ in range(ctx.n_random)]).T
     xs, residuals, skipped = r * np.exp(1j * ph), [], 0
     for a_ij, (psi, phi) in itertools.product((2, -1, 0), (("EE", "phi"), ("FF-qt", "phi-qt"))):
         x = xs[a_all == a_ij]
@@ -592,10 +593,8 @@ def _sl2_generic_driver(ctx, key, self_inverse=False):
     commutator, whose delta supports are compared with the c = 1 ones.  No
     operator check exists away from c = 1.
     """
-    rng = np.random.default_rng(ctx.seed + 2)
-    xs = np.array([
-        rng.uniform(0.4, 1.6) * np.exp(1j * rng.uniform(-2.9, 2.9)) for _ in range(12)
-    ])
+    r, ph = _uniform_rows(random.Random(ctx.seed + 2), 12, [(0.4, 1.6), (-2.9, 2.9)]).T
+    xs = r * np.exp(1j * ph)
     base = ctx.params
     residuals, skipped = [], 0
     for c in (Fraction(2), Fraction(3)):

@@ -7,10 +7,13 @@ its sampled rows became array passes: ``theta-quasiperiodicity``
 rows (``_serre_driver``).  Each point is drawn, checked and skipped one at a
 time with scalar ``theta`` calls, so the array drivers are compared against
 them field by field: the same draws, counts, skips and notes, and residuals
-equal up to rounding.
+equal up to rounding.  Each point is drawn scalar by scalar from
+``random.Random`` with the drivers' seeds, in the drivers' order.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -40,7 +43,7 @@ def _serre_driver(ctx: VerifierContext, kind: str):
     if not adjacent:
         return _outcome([], 0, 0, tol, "no adjacent node pair in this algebra; vacuous", vacuous=True)
     base = ctx.params.q if kind == "E" else ctx.params.qtilde
-    rng = np.random.default_rng(ctx.seed)
+    rng = random.Random(ctx.seed)
     residuals, skipped, total = [], 0, 0
 
     def contraction(i1, z1, i2, z2):
@@ -116,7 +119,7 @@ def _jacobi_sum(x: complex, a: complex) -> tuple[complex, float]:
 
 
 def _theta_driver(ctx):
-    rng = np.random.default_rng(ctx.seed)
+    rng = random.Random(ctx.seed)
     residuals = []
     for _ in range(ctx.n_random):
         a = rng.uniform(0.05, 0.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
@@ -131,12 +134,12 @@ def _theta_driver(ctx):
 
 
 def _structure_driver(ctx, which: str):
-    rng = np.random.default_rng(ctx.seed + 1)
+    rng = random.Random(ctx.seed + 1)
     residuals, skipped, total = [], 0, 0
     tol = 1e-10 if which in ("psi-inversion", "phi-factorization") else 1e-9
     if which in ("psi-inversion", "phi-factorization"):
         for _ in range(ctx.n_random):
-            a_ij = int(rng.choice([2, -1, 0]))
+            a_ij = (2, -1, 0)[int(3 * rng.random())]
             x = rng.uniform(0.3, 1.7) * np.exp(1j * rng.uniform(-3.0, 3.0))
             for base, bh in (
                 (ctx.params.q, ctx.params.q_half),

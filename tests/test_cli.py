@@ -1,11 +1,14 @@
+import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from screenalg import cli
+from screenalg import VerifierContext, cli, make_cartan, make_params, run_suite
 from screenalg.cli import RunConfig, context_from_config, main, read_config_file
 from screenalg.verifier import CATALOGUE
 
@@ -161,6 +164,38 @@ class TestDeterminism:
             )
             vals.append(json.loads(path.read_text())["checks"][0]["max_residual"])
         assert vals[0] != vals[1]
+
+
+# the rows that draw random points, as a --relations filter
+SAMPLED = ["theta", *(f"Eq{n}" for n in range(30, 39)), "Eq48", "Eq51", "psi", "phi", "serre"]
+
+
+class TestSampling:
+    def test_a_run_loads_no_numpy_random_secrets_or_hashlib(self, tmp_path):
+        # points come from the standard library's random.Random, so a verify
+        # process never imports numpy.random, nor the OpenSSL-backed hashlib
+        # that numpy.random's import of secrets brings in
+        code = (
+            "import json, sys\n"
+            "from screenalg.cli import main\n"
+            f"rc = main(['--algebra', 'A2', '--quiet', '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "print(json.dumps([rc, [m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules]]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(out.stdout) == [0, []]
+
+    def test_a_seed_fixes_the_sampled_rows_and_they_pass_for_seeds_0_to_9(self):
+        def rows(seed):
+            ctx = VerifierContext(cartan=make_cartan("A", 2), params=make_params(0.09, 0.3, 1), seed=seed)
+            results = run_suite(ctx, SAMPLED).results
+            assert len(results) == 15
+            return [{**dataclasses.asdict(r), "seconds": None} for r in results]
+
+        assert rows(75018) == rows(75018)
+        for seed in range(10):
+            assert [r["name"] for r in rows(seed) if not r["passed"]] == [], seed
 
 
 class TestConfigFile:

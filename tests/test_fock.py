@@ -251,12 +251,40 @@ def test_row_maxima_equals_the_blocks_linear_difference_and_leaves_its_inputs():
     err, scale = fock._row_maxima(ef, fe, rhs, 0.0, 0.0)
     diff = fock.blocks_linear([(1.0, ef), (-1.0, fe), (-1.0, rhs)])
     assert err == blocks_max_abs(diff)
-    assert scale == max(blocks_max_abs(b) for b in sides)
+    assert scale == blocks_max_abs(rhs)  # ef's and fe's come from _column_maxima
     for side, copies in zip(sides, before):
         assert all(np.array_equal(b, copies[g]) for g, (_, b) in side.items())
     # running maxima: a larger err or scale passed in is kept
     assert fock._row_maxima(ef, fe, rhs, 2 * err, scale / 2) == (2 * err, scale)
     assert fock._row_maxima({}, {}, {}, 0.5, 0.25) == (0.5, 0.25)
+
+
+def test_column_maxima_give_each_selected_product_its_max_abs():
+    rng = np.random.default_rng(11)
+    modes = {m: _random_blocks(rng, {4: (6, 7, 9), 5: (7, 3, 12)}) for m in (-1, 0)}
+    modes[1] = _random_blocks(rng, {5: (7, 3, 12)})
+    col_max = fock._column_maxima(modes, 1)
+    assert fock._column_maxima(modes, 0).keys() == {0}
+    selectors = [{0: (4, slice(0, 9)), 1: (5, slice(2, 7))}, {0: (4, slice(8, 9))}, {2: (3, slice(0, 1))}, {}]
+    for m, selector in itertools.product(modes, selectors):
+        want = blocks_max_abs(fock.blocks_compose(modes[m], selector))
+        assert fock._selected_max(col_max[m], selector) == want, (m, selector)
+
+
+@pytest.mark.parametrize("cartan", [A2, D4], ids=["A2", "D4"])
+def test_weights_at_a_smaller_reach_are_a_prefix_bit_for_bit(cartan):
+    # the weights are kept at the largest reach asked for, and a smaller
+    # reach reads their first rows
+    legs = [leg for kind in ("E", "F", "H+") for leg in FockSpace(cartan, PR)._merged_legs(
+        [(current_spec(kind, node, cartan.rank, PR), 0) for node in range(cartan.rank)])]
+    for (node, _, members), sign, (small, large) in itertools.product(legs, (1, -1), [(1, 4), (3, 7)]):
+        fresh = FockSpace(cartan, PR)._weights(node, members, sign, small)
+        grown = FockSpace(cartan, PR)
+        grown._weights(node, members, sign, large)
+        kept = grown._weights(node, members, sign, small)
+        assert [j for j, _ in kept] == [j for j, _ in fresh]
+        for (_, w), (_, w0) in zip(kept, fresh):
+            assert len(w) > len(w0) and np.array_equal(w[: len(w0)], w0)
 
 
 @pytest.mark.parametrize("side", [0, 1, 2], ids=["ef", "fe", "rhs"])

@@ -1,6 +1,7 @@
 """The array drivers of the sampled rows against their scalar reference loops."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -24,24 +25,46 @@ SIX = [
 
 
 def captured(monkeypatch, module, driver, ctx, args):
-    """The driver's outcome and the residuals it handed to ``_outcome``, sorted."""
-    seen = []
+    """The driver's outcome, the residuals it handed to ``_outcome``, sorted, and its draws.
+
+    The draws are one list per generator the driver made: (value,) for each
+    random() and (lo, hi, value) for each uniform(lo, hi), whose own random()
+    comes just before it.
+    """
+    seen, draws = [], []
     outcome = verifier._outcome
 
     def spy(residuals, *rest, **kw):
         seen.append(np.sort(np.asarray(residuals, dtype=float)))
         return outcome(residuals, *rest, **kw)
 
+    class Logged(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.log = []
+            draws.append(self.log)
+
+        def random(self):
+            self.log.append((super().random(),))
+            return self.log[-1][0]
+
+        def uniform(self, lo, hi):
+            self.log.append((lo, hi, super().uniform(lo, hi)))
+            return self.log[-1][2]
+
     with monkeypatch.context() as mp:
         mp.setattr(module, "_outcome", spy)
+        mp.setattr(random, "Random", Logged)
         out = driver(ctx, *args)
-    return out, seen[0]
+    return out, seen[0], draws
 
 
 def assert_rows_match(ctx, monkeypatch):
     for new, old, args in ROWS:
-        got, got_res = captured(monkeypatch, verifier, new, ctx, args)
-        want, want_res = captured(monkeypatch, ref, old, ctx, args)
+        got, got_res, got_draws = captured(monkeypatch, verifier, new, ctx, args)
+        want, want_res, want_draws = captured(monkeypatch, ref, old, ctx, args)
+        # one generator each, with the same seed and calls, in the same order and bounds
+        assert len(want_draws) == 1 and got_draws == want_draws, (new.__name__, args)
         for key in ("n_samples", "skipped", "passed", "notes", "tolerance"):
             assert got[key] == want[key], (new.__name__, args, key)
         assert abs(got["max_residual"] - want["max_residual"]) <= 1e-14, (new.__name__, args)
@@ -59,14 +82,14 @@ def test_array_rows_match_scalar_reference(label, rank, p, q, monkeypatch):
 
 
 def test_forced_serre_skips_match_scalar_reference(monkeypatch):
-    # at pole_floor 0.3, 3 of the 19 triples drawn per Serre row and 6 of the
+    # at pole_floor 0.3, 3 of the 19 triples drawn per Serre row and 5 of the
     # 25 serre-coefficients-from-psi triples are skipped, and the Serre rows
     # draw replacements
     ctx = VerifierContext(cartan=make_cartan("A", 2), params=make_params(0.09, 0.3, 1), pole_floor=0.3)
     for kind in ("E", "F"):
         out = verifier._serre_driver(ctx, kind)
         assert (out["n_samples"], out["skipped"], out["passed"]) == (19, 3, True)
-    assert verifier._structure_driver(ctx, "from-engine")["skipped"] == 6
+    assert verifier._structure_driver(ctx, "from-engine")["skipped"] == 5
     assert_rows_match(ctx, monkeypatch)
 
 
