@@ -17,27 +17,18 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import get_type_hints
 
 from .algebra import make_cartan, make_params
-from .verifier import CATALOGUE_NAMES, VerifierContext, run_suite
+from .verifier import CATALOGUE_NAMES, RunSettings, VerifierContext, run_suite
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(RunSettings):
     algebra: str = "A2"
     p: complex = 0.09
     q: complex = 0.3
     c: Fraction = Fraction(1)
-    order: int = 80
-    fock_degree: int = 3
-    fock_window: int = 3
-    samples: int = 16
-    radius: float = 0.5
-    random_points: int = 100
-    serre_samples: int = 8
-    tol: float = 1e-8
-    tol_fock: float = 1e-8
-    seed: int = 75018
     relations: str = ""
     out: str = ""
 
@@ -76,20 +67,12 @@ class RunConfig:
         return m.group(1).upper(), int(m.group(2))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = get_type_hints(RunConfig)  # field -> declared type; RunConfig annotates only fields
 
 
-def _coerce(name: str, raw: str):
-    if name in ("p", "q"):
-        return complex(raw)
-    if name == "c":
-        return Fraction(raw)
-    if name in ("order", "fock_degree", "fock_window", "samples", "seed",
-                "random_points", "serre_samples"):
-        return int(raw)
-    if name in ("radius", "tol", "tol_fock"):
-        return float(raw)
-    return raw
+def _coerce(name: str, raw):
+    """``raw`` (a config-file string or a flag's value) as field ``name``'s declared type."""
+    return _FIELD_TYPES[name](raw)
 
 
 def read_config_file(path: str) -> dict:
@@ -147,28 +130,15 @@ def config_from_args(args) -> RunConfig:
     for name in _FIELD_TYPES:  # every field with a flag; the flag overrides the file
         v = getattr(args, name, None)
         if v is not None:
-            setattr(cfg, name, _coerce(name, v) if isinstance(v, str) else v)
+            setattr(cfg, name, _coerce(name, v))
     return cfg
 
 
 def context_from_config(cfg: RunConfig) -> VerifierContext:
     label, rank = cfg.validate()
-    cartan = make_cartan(label, rank)
+    settings = {f.name: getattr(cfg, f.name) for f in fields(RunSettings)}
     params = make_params(cfg.p, cfg.q, cfg.c)
-    return VerifierContext(
-        cartan=cartan,
-        params=params,
-        order=cfg.order,
-        n_samples=cfg.samples,
-        radius=cfg.radius,
-        n_random=cfg.random_points,
-        serre_samples=cfg.serre_samples,
-        fock_cap=cfg.fock_degree,
-        fock_window=cfg.fock_window,
-        tol_series=cfg.tol,
-        tol_fock=cfg.tol_fock,
-        seed=cfg.seed,
-    )
+    return VerifierContext(cartan=make_cartan(label, rank), params=params, **settings)
 
 
 def _write_atomic(path: str, text: str):
@@ -203,7 +173,7 @@ def main(argv=None) -> int:
     if not args.quiet:
         width = max((len(r.name) for r in report.results), default=20)
         print(f"algebra {report.algebra}  p={report.p} q={report.q} c={report.c} "
-              f"order={report.order} D={report.fock_cap} seed={report.seed}")
+              f"order={report.order} D={report.fock_degree} seed={report.seed}")
         for r in report.results:
             status = "PASS" if r.passed else "FAIL"
             print(

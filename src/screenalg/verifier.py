@@ -75,9 +75,28 @@ def _check_theta_order(params: DeformationParams, order: int, tol: float):
         )
 
 
-@dataclass
-class VerifierContext:
-    """Shared configuration for one verification run.
+@dataclass(kw_only=True)
+class RunSettings:
+    """The settings of a run, each declared once, for the engine and the CLI alike.
+
+    The CLI's flags and configuration keys name them by these field names.
+    """
+
+    order: int = 80  # series truncation order
+    fock_degree: int = 3  # Fock degree cap D
+    fock_window: int = 3  # Fock mode window |m|, |n| <= W
+    samples: int = 16  # exchange samples per relation, on a circle
+    radius: float = 0.5  # |w/z| of that circle
+    random_points: int = 100  # random points of the theta and structure rows
+    serre_samples: int = 8  # triples per sampled Serre node pair
+    tol: float = 1e-8  # series-route tolerance
+    tol_fock: float = 1e-8  # Fock-route tolerance
+    seed: int = 75018  # fixes all random sampling
+
+
+@dataclass(kw_only=True)
+class VerifierContext(RunSettings):
+    """The run settings, with the algebra, parameters and caches of one run.
 
     ``exchange_ratio`` and ``theta_g`` take an array of points w/z and
     return a value per point and a boolean mask of the points to skip: a
@@ -87,21 +106,11 @@ class VerifierContext:
     (driver, args), so rows that make the same computation share one run.
 
     Building a context rejects an ``order`` whose theta truncation tail is
-    not far below ``tol_series`` (see :func:`_check_theta_order`).
+    not far below ``tol`` (see :func:`_check_theta_order`).
     """
 
     cartan: CartanMatrix
     params: DeformationParams
-    order: int = 80
-    n_samples: int = 16
-    radius: float = 0.5
-    n_random: int = 100
-    serre_samples: int = 8
-    fock_cap: int = 3
-    fock_window: int = 3
-    tol_series: float = 1e-8
-    tol_fock: float = 1e-8
-    seed: int = 75018
     theta_floor: float = 1e-6
     pole_floor: float = 1e-9
     _fock: FockSpace | None = None
@@ -109,7 +118,7 @@ class VerifierContext:
     _circle: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_theta_order(self.params, self.order, self.tol_series)
+        _check_theta_order(self.params, self.order, self.tol)
 
     @property
     def fock(self) -> FockSpace:
@@ -135,7 +144,7 @@ class VerifierContext:
 
     def circle_samples(self) -> np.ndarray:
         if self._circle is None:
-            ph = (np.arange(self.n_samples) + 0.5) / self.n_samples * 2 * np.pi - np.pi
+            ph = (np.arange(self.samples) + 0.5) / self.samples * 2 * np.pi - np.pi
             self._circle = self.radius * np.exp(1j * ph)
             self._circle.flags.writeable = False
         return self._circle
@@ -255,7 +264,7 @@ class VerificationReport:
     q: str
     c: str
     order: int
-    fock_cap: int
+    fock_degree: int
     seed: int
     results: list[RelationResult]
     errata: tuple[str, ...] = ERRATA
@@ -272,7 +281,7 @@ class VerificationReport:
             "q": self.q,
             "c": self.c,
             "order": self.order,
-            "fock_degree": self.fock_cap,
+            "fock_degree": self.fock_degree,
             "seed": self.seed,
             "all_pass": self.all_pass,
             "errata": list(self.errata),
@@ -340,7 +349,7 @@ def _exchange_driver(ctx, pairs, key, a_filter=None):
     """
     nodes = [t for t in ctx.cartan.node_pairs() if a_filter is None or t[2] in a_filter]
     if not nodes:
-        return _outcome([], 0, 0, ctx.tol_series, _VACUOUS, vacuous=True)
+        return _outcome([], 0, 0, ctx.tol, _VACUOUS, vacuous=True)
     xs = ctx.circle_samples()
     residuals, skipped, compared = [], 0, [0] * len(pairs)
     for k, (kind_x, kind_y) in enumerate(pairs):
@@ -351,9 +360,9 @@ def _exchange_driver(ctx, pairs, key, a_filter=None):
             residuals.append(_relative(r, g)[keep])
             skipped += n * int(np.count_nonzero(~keep))
             compared[k] += n * int(np.count_nonzero(keep))
-    total = len(pairs) * len(nodes) * ctx.n_samples
+    total = len(pairs) * len(nodes) * ctx.samples
     return _outcome(
-        np.concatenate(residuals), total, skipped, ctx.tol_series, compared=min(compared)
+        np.concatenate(residuals), total, skipped, ctx.tol, compared=min(compared)
     )
 
 
@@ -361,7 +370,7 @@ def _closed_form_driver(ctx, kind_x, kind_y, a_class):
     """Summed contraction x zero-mode monomial against the printed closed form."""
     nodes = [t for t in ctx.cartan.node_pairs() if t[2] == a_class]
     if not nodes:
-        return _outcome([], 0, 0, ctx.tol_series, _VACUOUS, vacuous=True)
+        return _outcome([], 0, 0, ctx.tol, _VACUOUS, vacuous=True)
     xs = ctx.circle_samples()
     want = closed_form(kind_x, kind_y, a_class, ctx.params)(1.0 + 0j, xs)
     residuals, skipped, compared = [], 0, 0
@@ -371,8 +380,8 @@ def _closed_form_driver(ctx, kind_x, kind_y, a_class):
         residuals.append(_relative(v, want)[~skip])
         skipped += n * int(np.count_nonzero(skip))
         compared += n * int(np.count_nonzero(~skip))
-    total = len(nodes) * ctx.n_samples
-    return _outcome(np.concatenate(residuals), total, skipped, ctx.tol_series, compared=compared)
+    total = len(nodes) * ctx.samples
+    return _outcome(np.concatenate(residuals), total, skipped, ctx.tol, compared=compared)
 
 
 def _commutator_driver(ctx: VerifierContext):
@@ -402,15 +411,15 @@ def _commutator_driver(ctx: VerifierContext):
         series_res.append(max([comb.residual, *werr]))
         if expected:
             details[f"supports[{i},{j}]"] = [[repr(s), repr(w)] for s, w in zip(expected, comb.weights)]
-        rep = ctx.fock.commutator_check(e_i, f_j, sectors, ctx.fock_cap, ctx.fock_window)
+        rep = ctx.fock.commutator_check(e_i, f_j, sectors, ctx.fock_degree, ctx.fock_window)
         fock_res.append(rep.max_residual)
         compared += len(rep.residuals) - rep.vacuous
         vacuous += rep.vacuous
         details[f"fock[{i},{j}]"] = rep.max_residual
     series, fock = float(max(series_res)), float(max(fock_res))
     notes = f"series residual {series:.3e}, fock residual {fock:.3e}"
-    row = _outcome([series, fock], compared, vacuous, max(ctx.tol_series, ctx.tol_fock), notes)
-    passed = series <= ctx.tol_series and fock <= ctx.tol_fock
+    row = _outcome([series, fock], compared, vacuous, max(ctx.tol, ctx.tol_fock), notes)
+    passed = series <= ctx.tol and fock <= ctx.tol_fock
     return {**row, "passed": passed, "details": details, "series": series, "fock": fock}
 
 
@@ -495,17 +504,17 @@ def _jacobi_sum(x, a):
 
 
 def _theta_driver(ctx):
-    """Quasi-periodicity and the triple-product sum at n_random random (a, x)."""
+    """Quasi-periodicity and the triple-product sum at random_points random (a, x)."""
     # per point: |a|, arg a, |x|, arg x
     bounds = [(0.05, 0.5), (-math.pi, math.pi), (0.2, 1.8), (-math.pi, math.pi)]
-    ra, pa, rx, px = _uniform_rows(random.Random(ctx.seed), ctx.n_random, bounds).T
+    ra, pa, rx, px = _uniform_rows(random.Random(ctx.seed), ctx.random_points, bounds).T
     a, x = ra * np.exp(1j * pa), rx * np.exp(1j * px)
     tx = theta(x, a, ctx.order)
     rhs = -tx / x
     quasi = abs(theta(a * x, a, ctx.order) - rhs) / np.maximum(abs(rhs), 1e-30)
     # the product against the triple-product sum, relative to the sum's term sizes
     total, size = _jacobi_sum(x, a)
-    return _outcome(np.r_[quasi, abs(tx - total) / size], 2 * ctx.n_random, 0, 1e-9)
+    return _outcome(np.r_[quasi, abs(tx - total) / size], 2 * ctx.random_points, 0, 1e-9)
 
 
 def _heisenberg_driver(ctx):
@@ -554,7 +563,7 @@ def _structure_driver(ctx, which: str):
             return ctx.exchange_ratio(ctx.contract(sx, sy), ctx.contract(sy, sx), x)
 
         psi_printed_e = partial(theta_quotient, "EE", params=p, order=ctx.order, floor=0)
-        n = max(ctx.n_random // 4, 8)
+        n = max(ctx.random_points // 4, 8)
         z1, z2, w = _draw_triples(rng, n)
         f_engine, skip = serre_coefficient(z1, z2, w, psi_engine_e)
         f_printed, skip_printed = serre_coefficient(z1, z2, w, psi_printed_e)
@@ -564,7 +573,7 @@ def _structure_driver(ctx, which: str):
         return _outcome(res[~skip], n, int(skip.sum()), 1e-9)
     # per point: A_ij, |x|, arg x
     a_all, r, ph = np.array([((2, -1, 0)[int(3 * rng.random())], rng.uniform(0.3, 1.7), rng.uniform(-3.0, 3.0))
-                             for _ in range(ctx.n_random)]).T
+                             for _ in range(ctx.random_points)]).T
     xs, residuals, skipped = r * np.exp(1j * ph), [], 0
     for a_ij, (psi, phi) in itertools.product((2, -1, 0), (("EE", "phi"), ("FF-qt", "phi-qt"))):
         x = xs[a_all == a_ij]
@@ -581,7 +590,7 @@ def _structure_driver(ctx, which: str):
             zero = (u * v == 0) | ~np.isfinite(u * v)
         residuals.append(res[~zero])
         skipped += int(zero.sum())
-    return _outcome(np.concatenate(residuals), 2 * ctx.n_random, skipped, 1e-10)
+    return _outcome(np.concatenate(residuals), 2 * ctx.random_points, skipped, 1e-10)
 
 
 def _sl2_generic_driver(ctx, key, self_inverse=False):
@@ -599,7 +608,7 @@ def _sl2_generic_driver(ctx, key, self_inverse=False):
     residuals, skipped = [], 0
     for c in (Fraction(2), Fraction(3)):
         pc = make_params(base.p, base.q, c)
-        _check_theta_order(pc, ctx.order, ctx.tol_series)
+        _check_theta_order(pc, ctx.order, ctx.tol)
         skip = np.zeros(len(xs), dtype=bool)
         if key is not None:
             g, skip = theta_quotient(key, xs, 2, pc, ctx.order, ctx.theta_floor)
@@ -857,7 +866,7 @@ def run_suite(
         q=repr(ctx.params.q),
         c=str(ctx.params.c),
         order=ctx.order,
-        fock_cap=ctx.fock_cap,
+        fock_degree=ctx.fock_degree,
         seed=ctx.seed,
         results=results,
     )

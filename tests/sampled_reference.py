@@ -121,7 +121,7 @@ def _jacobi_sum(x: complex, a: complex) -> tuple[complex, float]:
 def _theta_driver(ctx):
     rng = random.Random(ctx.seed)
     residuals = []
-    for _ in range(ctx.n_random):
+    for _ in range(ctx.random_points):
         a = rng.uniform(0.05, 0.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         x = rng.uniform(0.2, 1.8) * np.exp(1j * rng.uniform(-np.pi, np.pi))
         lhs = theta(a * x, a, ctx.order)
@@ -130,7 +130,7 @@ def _theta_driver(ctx):
         # the product against the triple-product sum, relative to the sum's term sizes
         total, size = _jacobi_sum(x, a)
         residuals.append(abs(theta(x, a, ctx.order) - total) / size)
-    return _outcome(residuals, 2 * ctx.n_random, 0, 1e-9)
+    return _outcome(residuals, 2 * ctx.random_points, 0, 1e-9)
 
 
 def _structure_driver(ctx, which: str):
@@ -138,7 +138,7 @@ def _structure_driver(ctx, which: str):
     residuals, skipped, total = [], 0, 0
     tol = 1e-10 if which in ("psi-inversion", "phi-factorization") else 1e-9
     if which in ("psi-inversion", "phi-factorization"):
-        for _ in range(ctx.n_random):
+        for _ in range(ctx.random_points):
             a_ij = (2, -1, 0)[int(3 * rng.random())]
             x = rng.uniform(0.3, 1.7) * np.exp(1j * rng.uniform(-3.0, 3.0))
             for base, bh in (
@@ -177,7 +177,7 @@ def _structure_driver(ctx, which: str):
         def psi_printed_e(x, a_ij):
             return psi(x, a_ij, ctx.params.q, ctx.params, ctx.order)
 
-        for _ in range(max(ctx.n_random // 4, 8)):
+        for _ in range(max(ctx.random_points // 4, 8)):
             total += 1
             z1, z2, w = (
                 rng.uniform(0.7, 1.3) * np.exp(1j * rng.uniform(-2.8, 2.8))

@@ -135,7 +135,7 @@ def test_criterion_5_delta_commutator():
     for rank in (1, 2):
         ctx = VerifierContext(
             cartan=make_cartan("A", rank), params=PR, order=80,
-            fock_cap=3, fock_window=3,
+            fock_degree=3, fock_window=3,
         )
         out = _commutator_driver(ctx)
         worst_series = max(worst_series, out["series"])
@@ -170,7 +170,7 @@ def test_criterion_6_serre_relations():
 
 def test_criterion_7_structure_functions():
     t0 = time.perf_counter()
-    ctx = VerifierContext(cartan=make_cartan("A", 2), params=PR, order=80, n_random=100)
+    ctx = VerifierContext(cartan=make_cartan("A", 2), params=PR, order=80, random_points=100)
     inv = _structure_driver(ctx, "psi-inversion")
     fac = _structure_driver(ctx, "phi-factorization")
     reb = _structure_driver(ctx, "from-engine")

@@ -2,15 +2,24 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from screenalg import VerifierContext, cli, make_cartan, make_params, run_suite
-from screenalg.cli import RunConfig, context_from_config, main, read_config_file
-from screenalg.verifier import CATALOGUE
+from screenalg.cli import (
+    RunConfig,
+    build_parser,
+    config_from_args,
+    context_from_config,
+    main,
+    read_config_file,
+)
+from screenalg.verifier import CATALOGUE, RunSettings
 
 
 def run_cli(args):
@@ -243,6 +252,30 @@ class TestConfigFile:
         assert rc == 2
         assert reason in capsys.readouterr().err
 
+    def test_every_shared_setting_reaches_the_context_with_its_declared_type(self, tmp_path):
+        # every shared key at a non-default value, through the file parser and
+        # the by-name copy into the engine's context
+        shared = {
+            "order": (90, int), "fock_degree": (2, int), "fock_window": (4, int),
+            "samples": (7, int), "radius": (0.4, float), "random_points": (20, int),
+            "serre_samples": (3, int), "tol": (1e-7, float), "tol_fock": (2e-7, float),
+            "seed": (12, int),
+        }
+        own = {"p": (0.05 + 0j, complex), "q": (0.5 + 0j, complex), "c": (Fraction(3, 2), Fraction)}
+        defaults = RunConfig()
+        assert set(shared) == {f.name for f in dataclasses.fields(RunSettings)}
+        assert all(getattr(defaults, k) != v for k, (v, _) in {**shared, **own}.items())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algebra = A1\np = 0.05\nq = 0.5\nc = 3/2\n"
+                       + "".join(f"{k} = {v}\n" for k, (v, _) in shared.items()))
+        run = config_from_args(build_parser().parse_args(["--config", str(cfg)]))
+        for key, (value, kind) in own.items():
+            assert getattr(run, key) == value and type(getattr(run, key)) is kind, key
+        ctx = context_from_config(run)
+        for key, (value, kind) in shared.items():
+            assert getattr(ctx, key) == value and type(getattr(ctx, key)) is kind, key
+        assert (ctx.params.p, ctx.params.q, ctx.params.c) == (0.05, 0.5, Fraction(3, 2))
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         # the thread pool is gone, so its key is unknown too
@@ -334,3 +367,23 @@ class TestPinnedReport:
             f"{name}: Eq7-SpSp-exchange, details.x, None -> 1",
             f"{name}: Eq7-SpSp-exchange, max_residual, {old!r} -> 0.5",
         ]
+
+
+class TestReadme:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(self, pattern):
+        """The backquoted names in the README passage that ``pattern``'s group 1 spans."""
+        return sorted(re.findall(r"`([^`]+)`", re.search(pattern, self.README).group(1)))
+
+    def test_flags_list_is_the_parsers_long_options(self):
+        # argparse's own --help is not listed
+        options = [o for a in build_parser()._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"]
+        assert self.listed(r"\nFlags: ([^.]*)\.") == sorted(options)
+
+    def test_config_key_lists_are_the_config_fields(self):
+        settings = self.listed(r"`verifier\.RunSettings`\s+\(([^)]*)\)")
+        own = self.listed(r"own fields of\s+`RunConfig`\s+\(([^)]*)\)")
+        assert settings == sorted(f.name for f in dataclasses.fields(RunSettings))
+        assert sorted(settings + own) == sorted(f.name for f in dataclasses.fields(RunConfig))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from screenalg import (
 )
 from screenalg import currents
 from screenalg.currents import ContractionKernel, KernelGroup, _atomic_kernel
+from screenalg.heisenberg import ModeBracketTable
 from screenalg.qlaurent import LaurentSeries, series_exp
 
 PR = make_params(0.09, 0.3, 1)
@@ -285,6 +287,47 @@ class TestSharedOscillatorPart:
         assert ope01.series is ope12.series and ope01.kernel is ope12.kernel
         with pytest.raises(ValueError):
             ope01.series.coeffs[1] = 0.0
+
+
+def assert_one_value_per_cartan_class(contract_fn, cartan, params, order=80):
+    """Fail unless every node pair's series-route values are its Cartan class's.
+
+    For each ordered pair of current kinds, every ordered node pair of one
+    class must give the class's first pair's coeff, z_exp and kernel and an
+    array-equal series from ``contract_fn``, and its mode brackets b(n),
+    n = 1..30, must be the class's.  A loop over classes instead of node
+    pairs is exact only while this holds.
+    """
+    kinds = ("S+", "S-", "E", "F", "H+", "H-")
+    table = ModeBracketTable(cartan, params)
+    first: dict = {}
+    for i, j, a_ij in cartan.node_pairs():
+        brackets = [table.bracket(i, j, n, -n) for n in range(1, 31)]
+        assert brackets == first.setdefault(a_ij, brackets), f"node pair {i, j}, brackets"
+        for kx, ky in itertools.product(kinds, repeat=2):
+            sx, sy = current_spec(kx, i, cartan.rank, params), current_spec(ky, j, cartan.rank, params)
+            ope = contract_fn(sx, sy, cartan, params, order)
+            ref = first.setdefault((a_ij, kx, ky), ope)
+            where = f"node pair {i, j}, kinds {kx} {ky}"
+            assert (ope.coeff, ope.z_exp, ope.kernel) == (ref.coeff, ref.z_exp, ref.kernel), where
+            assert np.array_equal(ope.series.coeffs, ref.series.coeffs), where
+
+
+class TestOneValuePerCartanClass:
+    @pytest.mark.parametrize("params", [PR, WIDE], ids=["default", "wide"])
+    @pytest.mark.parametrize("label, rank", [("D", 4), ("E", 6)])
+    def test_contractions_and_brackets_read_only_the_cartan_class(self, label, rank, params):
+        assert_one_value_per_cartan_class(contract, make_cartan(label, rank), params)
+
+    def test_a_contraction_off_at_one_node_fails_the_guard(self):
+        def node3_off(spec_x, spec_y, cartan, params, order):
+            ope = contract(spec_x, spec_y, cartan, params, order)
+            if 3 in (spec_x.node, spec_y.node):
+                return dataclasses.replace(ope, kernel=ope.kernel.scale(1 + 1e-6))
+            return ope
+
+        with pytest.raises(AssertionError, match=r"node pair \((3, \d|\d, 3)\)"):
+            assert_one_value_per_cartan_class(node3_off, make_cartan("D", 4), PR)
 
 
 class TestKernelHash:

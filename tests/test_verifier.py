@@ -15,7 +15,7 @@ from screenalg import (
     theta,
     theta_quotient,
 )
-from screenalg import currents, verifier
+from screenalg import currents, fock, heisenberg, verifier
 from screenalg.currents import ContractionKernel, KernelGroup, _node_free_part
 from screenalg.qlaurent import qpochhammer
 from screenalg.verifier import (
@@ -162,13 +162,13 @@ class TestExchangeDrivers:
 
 class TestCommutatorDriver:
     def test_a1_both_routes(self):
-        ctx = ctx_for("A", 1, order=60, fock_cap=2, fock_window=2)
+        ctx = ctx_for("A", 1, order=60, fock_degree=2, fock_window=2)
         out = _commutator_driver(ctx)
         assert out["series"] < 1e-8
         assert out["fock"] < 1e-8
 
     def test_a2_delta_supports(self):
-        ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
+        ctx = ctx_for("A", 2, order=60, fock_degree=2, fock_window=2)
         out = _commutator_driver(ctx)
         assert out["series"] < 1e-8 and out["fock"] < 1e-8
         # the same-node comb sits at w/z = 1/q and w/z = p/q
@@ -208,10 +208,35 @@ class TestCommutatorDriver:
         series, fock = (float(v) for v in re.findall(r"residual ([0-9.e+-]+)", res.notes))
         assert series == pytest.approx(res.max_residual, rel=1e-3) and fock < 1e-13
 
+    def test_swapped_e_and_f_zero_mode_constants_fail_off_the_default_point(self, monkeypatch):
+        """E's zero-mode const (p/q)^{1/2} and F's q^{1/2}, swapped, fail Eq21 at p = 0.05, q = 0.5.
+
+        The same mutant passes at the defaults: there p = q^2, so (p/q)^{1/2}
+        and q^{1/2} are one float, bit for bit, and the swap changes nothing.
+        """
+        zero_modes = currents.zero_modes
+
+        def swapped(kind, params):
+            charge, gamma, const = zero_modes(kind, params)
+            other = {"E": "F", "F": "E"}.get(kind)
+            return charge, gamma, zero_modes(other, params)[2] if other else const
+
+        for module in (currents, fock):
+            monkeypatch.setattr(module, "zero_modes", swapped)
+        _node_free_part.cache_clear()
+        try:
+            ctx = VerifierContext(cartan=make_cartan("A", 2), params=make_params(0.05, 0.5, 1))
+            (res,) = run_suite(ctx, ["Eq21"]).results
+        finally:
+            _node_free_part.cache_clear()
+        # both routes read the constants: the series route from currents, the Fock route from fock
+        series, fock_res = (float(v) for v in re.findall(r"residual ([0-9.e+-]+)", res.notes))
+        assert not res.passed and series > 0.1 and fock_res > 0.1, res.notes
+
     def test_two_route_agreement(self):
-        ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
+        ctx = ctx_for("A", 2, order=60, fock_degree=2, fock_window=2)
         out = _commutator_driver(ctx)
-        passes = (out["series"] <= ctx.tol_series, out["fock"] <= ctx.tol_fock)
+        passes = (out["series"] <= ctx.tol, out["fock"] <= ctx.tol_fock)
         assert passes[0] == passes[1]
 
 
@@ -228,10 +253,10 @@ class TestSerreDriver:
 
     def test_rows_do_not_depend_on_n_samples(self):
         # triples are drawn as many as a node pair still needs and each array
-        # is evaluated in one call, so the exchange rows' n_samples moves nothing
+        # is evaluated in one call, so the exchange rows' samples setting moves nothing
         rows = ["Eq48", "Eq51", "serre-coefficients-from-psi"]
         out = [
-            [{**r.to_dict(), "seconds": 0} for r in run_suite(ctx_for("A", 2, n_samples=n), rows).results]
+            [{**r.to_dict(), "seconds": 0} for r in run_suite(ctx_for("A", 2, samples=n), rows).results]
             for n in (2, 16)
         ]
         assert len(out[0]) == 3 and out[0] == out[1]
@@ -300,7 +325,7 @@ class TestAliases:
         monkeypatch.setattr(verifier, "CATALOGUE", tuple(
             (*row[:3], wrapped[row[3]], *row[4:]) for row in verifier.CATALOGUE
         ))
-        ctx = ctx_for("A", 2, order=60, fock_cap=2, fock_window=2)
+        ctx = ctx_for("A", 2, order=60, fock_degree=2, fock_window=2)
         rep = run_suite(ctx, [owner, alias])
         assert len(rep.results) == 2 and rep.all_pass
         assert len(calls) == 1
@@ -322,12 +347,12 @@ class TestAliases:
 
 class TestPassRule:
     def test_zero_random_points_fail_the_random_checks(self):
-        ctx = ctx_for("A", 2, n_random=0)
+        ctx = ctx_for("A", 2, random_points=0)
         rows = run_suite(ctx, ["theta", "psi-inversion", "phi-factorization"]).results
         assert [(r.n_samples, r.passed) for r in rows] == [(0, False)] * 3
 
     def test_zero_exchange_samples_fail_unless_vacuous(self):
-        rows = run_suite(ctx_for("A", 1, n_samples=0), ["Eq19", "Eq10", "Eq11"]).results
+        rows = run_suite(ctx_for("A", 1, samples=0), ["Eq19", "Eq10", "Eq11"]).results
         # A1 has no adjacent node pair, so Eq11 is vacuous and still passes
         assert [(r.name, r.passed) for r in rows] == [
             ("Eq10-SpSm-same-node", False), ("Eq11-SpSm-adjacent", True), ("Eq19-EE-exchange", False)
@@ -343,7 +368,7 @@ class TestPassRule:
 
 class TestRunSuite:
     def test_filtered_quick_run(self):
-        ctx = ctx_for("A", 1, order=40, fock_cap=2, fock_window=2)
+        ctx = ctx_for("A", 1, order=40, fock_degree=2, fock_window=2)
         rep = run_suite(ctx, relation_filter=["Eq19", "Eq21", "psi-inversion"])
         names = [r.name for r in rep.results]
         assert names == ["Eq19-EE-exchange", "Eq21-EF-commutator", "psi-inversion"]
@@ -392,6 +417,18 @@ class TestRunSuite:
         # one more per D4 orthogonal pair (6 of them)
         (res,) = run_suite(ctx_for("A", 2), ["heisenberg-bracket"]).results
         assert res.passed and res.n_samples == (4 + 16) * 30 * 2 + 6 * 30 == 1380
+
+
+    def test_heisenberg_bracket_fails_on_a_bracket_off_at_adjacent_nodes(self, monkeypatch):
+        # the engine's bracket x (1 + 1e-6) at A_ij = -1, read through ModeBracketTable
+        mode_bracket = heisenberg.mode_bracket
+
+        def off(a_ij, params, n):
+            return mode_bracket(a_ij, params, n) * (1 + 1e-6 if a_ij == -1 else 1)
+
+        monkeypatch.setattr(heisenberg, "mode_bracket", off)
+        (res,) = run_suite(ctx_for("A", 2), ["heisenberg-bracket"]).results
+        assert not res.passed and res.max_residual == pytest.approx(1e-6, rel=1e-3)
 
 
 class TestThetaDriver:
@@ -566,7 +603,7 @@ class TestSeriesCaches:
     def test_circle_samples_are_computed_once_and_read_only(self):
         ctx = ctx_for("A", 1)
         xs = ctx.circle_samples()
-        assert ctx.circle_samples() is xs and len(xs) == ctx.n_samples
+        assert ctx.circle_samples() is xs and len(xs) == ctx.samples
         with pytest.raises(ValueError):
             xs[0] = 0.0
 
